@@ -1,9 +1,10 @@
-# Development entry points. `make ci` is exactly what the GitHub Actions
-# workflow runs.
+# Development entry points. Every check in `make ci` also runs in the
+# GitHub Actions workflow (.github/workflows/ci.yml), which additionally
+# runs staticcheck, govulncheck and bench-smoke.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-json bench-smoke obs-smoke obs-agg-smoke par-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress regress-update staticcheck vuln serve ci
+.PHONY: all build test race vet fmt fmt-check bench bench-json bench-smoke obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress regress-update staticcheck vuln serve ci
 
 all: build
 
@@ -77,15 +78,6 @@ obs-agg-smoke:
 	cmp /tmp/obs-agg-a.json /tmp/obs-agg-b.json
 	@rm -rf /tmp/obs-agg-a /tmp/obs-agg-b /tmp/obs-agg-a.json /tmp/obs-agg-b.json
 	@echo "obs-agg-smoke: aggregated stats byte-identical across replays"
-
-# Parallel-equivalence smoke: the sharded explorer must return results
-# bit-identical to the sequential kernel (workers 2/4/8 vs 1 over the
-# full equivalence corpus, MJPEG included) and survive an interrupt
-# storm, all under the race detector. Plus the warm-start soundness
-# suite: every reuse tier is cross-checked against a cold analysis.
-par-smoke:
-	$(GO) test -race -run 'TestParallel' ./internal/statespace
-	$(GO) test -race ./internal/statespace/warm ./internal/statespace/shard
 
 # Fault-injection smoke: the reduced seeded conservativeness sweep plus
 # the degraded-mode recovery and resilience tests.
@@ -184,4 +176,4 @@ vuln:
 serve:
 	$(GO) run ./cmd/mamps-serve
 
-ci: build vet fmt-check race obs-smoke obs-agg-smoke par-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress
+ci: build vet fmt-check race obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress

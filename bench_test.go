@@ -19,7 +19,6 @@ package mamps
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -204,7 +203,7 @@ func BenchmarkStateSpaceThroughputMJPEG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1,
+			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +229,7 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	states := 0
 	for i := 0; i < b.N; i++ {
 		r, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1,
+			Schedules: m.ExpandedSchedules, MaxStates: 1 << 22,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -240,42 +239,6 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	b.ReportMetric(float64(states), "states/op")
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
-	}
-}
-
-// BenchmarkStateSpaceParallel sweeps the sharded exploration over worker
-// counts on the MJPEG workload (results are bit-identical at every
-// setting; see internal/statespace/parallel.go). The speedup over the
-// workers=1 sub-benchmark is the tentpole figure of EXPERIMENTS.md E11 —
-// on a single-core host the sweep degenerates to measuring the pipeline
-// overhead, which is itself worth tracking.
-func BenchmarkStateSpaceParallel(b *testing.B) {
-	cfg, _ := mjpegAppForBench(b)
-	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := mapping.Map(cfg.App, p, mapping.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				r, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-					Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: w,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = r.StatesExplored
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(states)*float64(b.N)/secs, "states/s")
-			}
-		})
 	}
 }
 
@@ -297,7 +260,7 @@ func BenchmarkAnalyzeWarmStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := m.Expanded.Graph
-	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22, Workers: 1}
+	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
 	variant := func(scale int64, delta int64) *sdf.Graph {
 		vg := g.Clone()
 		for _, a := range vg.Actors() {

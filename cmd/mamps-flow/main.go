@@ -53,7 +53,6 @@ func main() {
 	inject := flag.String("inject", "", "fault scenario, e.g. 'seed=7;jitter=0.5;link=*@from=0@until=20000@stall=4;tile=tile1@cycle=50000'")
 	target := flag.Float64("target", 0, "throughput constraint (iterations/cycle) checked in degraded mode; 0: the original bound")
 	energyOut := flag.Bool("energy", false, "report the energy estimate of the mapping (worst-case fold; plus measured fold when executed)")
-	analyzeWorkers := flag.Int("analyze-workers", 0, "state-space analysis workers (0: one per CPU; 1: sequential — every setting yields bit-identical results)")
 	flag.Parse()
 
 	if (*appPath == "") == (*workload == "") {
@@ -118,7 +117,6 @@ func main() {
 		cfg.Faults = spec
 	}
 	cfg.TargetThroughput = *target
-	cfg.AnalyzeWorkers = *analyzeWorkers
 
 	if *archPath != "" {
 		raw, err := os.ReadFile(*archPath)

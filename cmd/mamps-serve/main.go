@@ -55,7 +55,6 @@ func main() {
 	runlogDir := flag.String("runlog", "", "run registry directory: record every computed run and serve GET /v1/runs")
 	runlogMax := flag.Int("runlog-max-records", 10000, "run registry retention: max records kept (0 = unlimited)")
 	runlogAge := flag.Duration("runlog-max-age", 0, "run registry retention: max record age (0 = unlimited)")
-	analyzeWorkers := flag.Int("analyze-workers", 0, "default state-space analysis workers for jobs that don't set analyzeWorkers (0: one per CPU; 1: sequential — every setting yields bit-identical results)")
 	warmCap := flag.Int("warm-entries", 0, "warm-start analysis cache capacity (0: default 256, negative: disable)")
 	traceRetention := flag.Bool("trace-retention", false, "tail-based trace retention: keep traces only for degraded/deadlocked/slow/regressed/sampled runs")
 	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "retention: keep traces slower than this quantile of their graph key's history (0: default 0.95)")
@@ -109,7 +108,6 @@ func main() {
 		Logger:            logger,
 		EnablePprof:       *enablePprof,
 		RunLog:            runs,
-		AnalyzeWorkers:    *analyzeWorkers,
 		WarmCapacity:      *warmCap,
 		SLOLatencyTarget:  *sloLatencyTarget,
 		SLOLatencyGoal:    *sloLatencyGoal,

@@ -114,14 +114,6 @@ type Config struct {
 	// custom MapOptions.Analyze must be safe for concurrent use.
 	Workers int
 
-	// AnalyzeWorkers selects the state-space exploration parallelism
-	// inside each point's throughput analyses (statespace
-	// Options.Workers; results are bit-identical at any setting). Zero
-	// keeps the analysis default. Point-level parallelism (Workers) and
-	// analysis-level parallelism compose multiplicatively; on small
-	// hosts prefer Workers.
-	AnalyzeWorkers int
-
 	// Obs, if non-nil, records one span per evaluated candidate — on the
 	// "dse" track for a sequential sweep, or per-worker "dse-worker-N"
 	// tracks for a parallel one — annotated with the candidate label and
@@ -172,15 +164,6 @@ func SweepContext(ctx context.Context, app *appmodel.App, cfg Config) ([]Point, 
 		// Route every point's throughput verification through the shared
 		// cache (or, without one, just make it cancellable).
 		mo.Analyze = cache.Analyzer(cfg.Cache, ctx)
-	}
-	if w := cfg.AnalyzeWorkers; w != 0 {
-		inner := mo.Analyze
-		mo.Analyze = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			if opt.Workers == 0 {
-				opt.Workers = w
-			}
-			return inner(g, opt)
-		}
 	}
 	if stats := cfg.Obs.ExplorerOf(); stats != nil {
 		// Thread the explorer counters into every analysis. Safe to set

@@ -56,14 +56,6 @@ type Config struct {
 	// MapOptions steer the SDF3 step.
 	MapOptions mapping.Options
 
-	// AnalyzeWorkers selects the state-space exploration parallelism of
-	// every throughput analysis the flow performs (statespace
-	// Options.Workers): 1 runs the sequential kernel, larger values
-	// shard the exploration with a bit-identical result, 0 keeps the
-	// analysis default. Applied only where the analysis does not set its
-	// own worker count.
-	AnalyzeWorkers int
-
 	// Warm, if non-nil, routes the flow's analyses through the
 	// warm-start cache: identical or WCET-scaled repeats of a prior
 	// exploration are served arithmetically, structural near-misses
@@ -205,34 +197,6 @@ func TelemetryAnalyzer(ctx context.Context, tel *obs.Set) func(*sdf.Graph, state
 	}
 }
 
-// wrapAnalyzer layers the flow-level analysis options onto an analyzer:
-// a default worker count (applied only when the analysis didn't choose
-// its own) and, outermost, the warm-start cache, so warm hits skip the
-// inner analyzer entirely while hint/miss tiers inherit the worker
-// count. Nil inner with nothing to add stays nil (mapping falls back to
-// statespace.Analyze directly).
-func wrapAnalyzer(inner func(*sdf.Graph, statespace.Options) (statespace.Result, error), workers int, wc *warm.Cache) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	if workers == 0 && wc == nil {
-		return inner
-	}
-	if inner == nil {
-		inner = statespace.Analyze
-	}
-	if workers != 0 {
-		base := inner
-		inner = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			if opt.Workers == 0 {
-				opt.Workers = workers
-			}
-			return base(g, opt)
-		}
-	}
-	if wc != nil {
-		inner = wc.Analyzer(inner)
-	}
-	return inner
-}
-
 // Run executes the flow without cancellation, on the system clock.
 func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
@@ -262,7 +226,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MapOptions.Analyze == nil && (ctx.Done() != nil || cfg.Obs != nil) {
 		cfg.MapOptions.Analyze = TelemetryAnalyzer(ctx, cfg.Obs)
 	}
-	cfg.MapOptions.Analyze = wrapAnalyzer(cfg.MapOptions.Analyze, cfg.AnalyzeWorkers, cfg.Warm)
+	if cfg.Warm != nil {
+		// Outermost, so warm hits skip the inner analyzer entirely.
+		inner := cfg.MapOptions.Analyze
+		if inner == nil {
+			inner = statespace.Analyze
+		}
+		cfg.MapOptions.Analyze = cfg.Warm.Analyzer(inner)
+	}
 	flowScope := cfg.Obs.TraceOf().Scope("flow")
 	res := &Result{}
 	var stageSpan obs.Span

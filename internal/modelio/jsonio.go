@@ -56,11 +56,6 @@ type FlowRequestJSON struct {
 	// TargetThroughput (iterations/cycle) is the constraint the degraded
 	// mode is checked against; zero checks against the original bound.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers selects the state-space exploration parallelism for
-	// the flow's throughput analyses (1 = the sequential kernel, which
-	// every other setting reproduces bit for bit; 0 = the server
-	// default). Values outside 1..4×GOMAXPROCS are rejected with 400.
-	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
 // AnalyzeRequestJSON asks for the SDF3-side graph analyses.
@@ -70,9 +65,6 @@ type AnalyzeRequestJSON struct {
 	// TargetThroughput (iterations/cycle) additionally sizes buffers for
 	// the constraint when positive.
 	TargetThroughput float64 `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers selects the state-space exploration parallelism
-	// (see FlowRequestJSON.AnalyzeWorkers).
-	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
 // DSERequestJSON asks for a design-space sweep.
@@ -92,9 +84,6 @@ type DSERequestJSON struct {
 	// (0 = the server default). Values outside 1..4×GOMAXPROCS are
 	// rejected with 400 instead of spawning unbounded goroutines.
 	Workers int `json:"workers,omitempty"`
-	// AnalyzeWorkers selects the per-analysis state-space parallelism
-	// (see FlowRequestJSON.AnalyzeWorkers).
-	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
 // ThroughputJSON reports one throughput in both units of the paper.

@@ -304,6 +304,58 @@ func TestGCAdoptsLegacy(t *testing.T) {
 	}
 }
 
+// TestLegacyAnalyzeWorkersRecord: records written while requests could
+// still choose the state-space parallelism carry "analyzeWorkers". The
+// field is kept read-only so such an index still opens, verifies, and
+// re-marshals to the exact bytes the ledger hashed.
+func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("legacy", 0.25)
+	rec.Config.AnalyzeWorkers = 4
+	stored, err := r.Append(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	index, err := os.ReadFile(filepath.Join(dir, indexName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.TrimSuffix(index, []byte("\n"))
+	if !bytes.Contains(line, []byte(`"analyzeWorkers":4`)) {
+		t.Fatalf("fixture lacks the legacy field: %s", line)
+	}
+
+	r, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, ok := r.Get(stored.ID)
+	if !ok || got.Config.AnalyzeWorkers != 4 {
+		t.Fatalf("reopened record = %+v, %v", got.Config, ok)
+	}
+	again, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, line) {
+		t.Fatalf("re-marshal differs:\n got %s\nwant %s", again, line)
+	}
+	rep, err := Fsck(dir, FsckOptions{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Chained != 1 || len(rep.Warnings) != 0 {
+		t.Fatalf("fsck: %+v", rep)
+	}
+}
+
 // TestFsckNormalizesTornNewline: a final record that lost only its
 // newline verifies with a warning, and repair rewrites it terminated.
 func TestFsckNormalizesTornNewline(t *testing.T) {

@@ -198,10 +198,11 @@ type ConfigSummary struct {
 	UseCA            bool         `json:"useCA,omitempty"`
 	Faults           *faults.Spec `json:"faults,omitempty"`
 	TargetThroughput float64      `json:"targetThroughput,omitempty"`
-	// AnalyzeWorkers records the state-space parallelism the run was
-	// requested with. Provenance only: results and counters are
-	// bit-identical at every setting, so this never participates in
-	// baseline comparison keys.
+	// AnalyzeWorkers is a read-only legacy field: records written before
+	// the sharded state-space explorer was removed may carry the
+	// parallelism they were requested with. Nothing sets it any more; it
+	// stays so those records still re-marshal byte-identically under
+	// fsck. It never participates in baseline comparison keys.
 	AnalyzeWorkers int `json:"analyzeWorkers,omitempty"`
 }
 
@@ -241,11 +242,10 @@ type Counters struct {
 	SolverPruned     int64 `json:"solverPruned,omitempty"`
 	SolverIncumbents int64 `json:"solverIncumbents,omitempty"`
 
-	// Warm-start tier counts. Deterministic for a given request sequence
-	// (unlike e.g. shard hand-off counts, which depend on scheduling and
-	// are deliberately excluded): the regression gate pins them so a
-	// silently changed reuse decision — the precursor of an unsound
-	// reuse — fails with an explicit reason.
+	// Warm-start tier counts. Deterministic for a given request
+	// sequence: the regression gate pins them so a silently changed
+	// reuse decision — the precursor of an unsound reuse — fails with an
+	// explicit reason.
 	WarmExact    int64 `json:"warmExact,omitempty"`
 	WarmScaled   int64 `json:"warmScaled,omitempty"`
 	WarmHint     int64 `json:"warmHint,omitempty"`

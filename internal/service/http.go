@@ -251,10 +251,10 @@ func (s *Server) elapsedMS(start time.Time) float64 {
 // ---- /v1/analyze ----
 
 // validateWorkers rejects worker counts a request must not ask for:
-// negative, or beyond 4×GOMAXPROCS (the analysis kernel would clamp, but
-// the service boundary answers an absurd request with a structured 400
-// instead of silently spawning bounded-but-surprising goroutine pools).
-// Zero is "use the server default" and always valid.
+// negative, or beyond 4×GOMAXPROCS (the service boundary answers an
+// absurd request with a structured 400 instead of spawning a
+// surprisingly large goroutine pool). Zero is "use the server default"
+// and always valid.
 func validateWorkers(field string, w int) error {
 	limit := 4 * runtime.GOMAXPROCS(0)
 	if w < 0 || w > limit {
@@ -268,15 +268,6 @@ func (s *Server) writeValidationError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{Error: err.Error(), Kind: "validation"})
 }
 
-// analyzeWorkers resolves a request's analyzeWorkers field against the
-// server default.
-func (s *Server) analyzeWorkers(req int) int {
-	if req != 0 {
-		return req
-	}
-	return s.cfg.AnalyzeWorkers
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	start := s.clk.Now()
 	var req modelio.AnalyzeRequestJSON
@@ -284,13 +275,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{Error: err.Error()})
 		return
 	}
-	if err := validateWorkers("analyzeWorkers", req.AnalyzeWorkers); err != nil {
-		s.writeValidationError(w, err)
-		return
-	}
-	// analyzeWorkers is deliberately absent from the content key: the
-	// analysis result is bit-identical at every worker count, so requests
-	// differing only in parallelism share one cache entry.
 	h := cache.NewHasher("mamps/req/analyze/v1")
 	workloadHash(h, req.AppXML, req.Workload)
 	h.Float(req.TargetThroughput)
@@ -324,10 +308,7 @@ func (s *Server) analyzeJob(ctx context.Context, req modelio.AnalyzeRequestJSON)
 	for _, a := range g.Actors() {
 		a.MaxConcurrent = 1
 	}
-	sopt := statespace.Options{
-		Interrupt: ctx.Done(), Telemetry: s.explorer,
-		Workers: s.analyzeWorkers(req.AnalyzeWorkers),
-	}
+	sopt := statespace.Options{Interrupt: ctx.Done(), Telemetry: s.explorer}
 	// Route the evaluations through the shared warm-start cache (nil
 	// degrades to cold analysis): repeated workloads differing only in
 	// WCETs reuse prior explorations, bit-identically.
@@ -369,12 +350,6 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{Error: err.Error()})
 		return
 	}
-	if err := validateWorkers("analyzeWorkers", req.AnalyzeWorkers); err != nil {
-		s.writeValidationError(w, err)
-		return
-	}
-	// analyzeWorkers is not part of the content key (results are
-	// bit-identical at every worker count).
 	h := cache.NewHasher("mamps/req/flow/v1")
 	workloadHash(h, req.AppXML, req.Workload)
 	h.String(req.ArchXML).Int(int64(req.Tiles)).String(req.Interconnect).
@@ -418,7 +393,6 @@ func (s *Server) flowJob(ctx context.Context, req modelio.FlowRequestJSON) (any,
 	cfg.MapOptions.UseCA = req.UseCA
 	cfg.Faults = req.Faults
 	cfg.TargetThroughput = req.TargetThroughput
-	cfg.AnalyzeWorkers = s.analyzeWorkers(req.AnalyzeWorkers)
 	rt := s.newRunTelemetry(ctx)
 	var graphKey string
 	if rt != nil {
@@ -507,12 +481,8 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		s.writeValidationError(w, err)
 		return
 	}
-	if err := validateWorkers("analyzeWorkers", req.AnalyzeWorkers); err != nil {
-		s.writeValidationError(w, err)
-		return
-	}
-	// Neither workers field is part of the content key: the sweep's
-	// output is deterministic at every parallelism setting.
+	// workers is not part of the content key: the sweep's output is
+	// deterministic at every parallelism setting.
 	h := cache.NewHasher("mamps/req/dse/v1")
 	workloadHash(h, req.AppXML, req.Workload)
 	h.Int(int64(req.MinTiles)).Int(int64(req.MaxTiles)).
@@ -544,7 +514,6 @@ func (s *Server) dseJob(ctx context.Context, req modelio.DSERequestJSON) (any, e
 		UseSolver:        req.Solver,
 		SolverNodeBudget: req.SolverNodeBudget,
 		Workers:          req.Workers,
-		AnalyzeWorkers:   s.analyzeWorkers(req.AnalyzeWorkers),
 		Cache:            s.cache,
 		Obs:              &obs.Set{Explorer: s.explorer, Solver: s.solverStat},
 	}

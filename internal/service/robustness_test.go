@@ -109,10 +109,13 @@ func TestQueueSaturation429(t *testing.T) {
 		}
 		return nil, nil
 	}
-	// One job occupies the worker, one fills the queue.
-	for i := 0; i < 2; i++ {
-		go s.submit(context.Background(), "", block)
-	}
+	// One job occupies the worker, one fills the queue. The second is
+	// submitted only once the worker holds the first: submitted together,
+	// both could reach the one-slot queue before the worker takes one,
+	// and the second would be turned away instead of queued.
+	go s.submit(context.Background(), "", block)
+	waitFor(t, "busy worker", func() bool { return s.Stats().BusyWork == 1 })
+	go s.submit(context.Background(), "", block)
 	waitFor(t, "saturation", func() bool {
 		st := s.Stats()
 		return st.BusyWork == 1 && st.QueueDepth == 1

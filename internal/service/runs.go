@@ -134,7 +134,6 @@ func (s *Server) recordFlowRun(ctx context.Context, req modelio.FlowRequestJSON,
 			Iterations: req.Iterations, RefActor: req.RefActor,
 			UseCA: req.UseCA, Faults: req.Faults,
 			TargetThroughput: req.TargetThroughput,
-			AnalyzeWorkers:   req.AnalyzeWorkers,
 		},
 		Counters: runlog.CountersFrom(rt.set),
 	}
@@ -194,10 +193,9 @@ func (s *Server) recordDSERun(ctx context.Context, req modelio.DSERequestJSON, a
 		GraphKey:    graphKey,
 		BaselineKey: "graph/" + graphKey + "/dse/" + h.Sum()[:12],
 		Config: runlog.ConfigSummary{
-			Tiles:          req.MaxTiles,
-			Interconnect:   strings.Join(req.Interconnects, ","),
-			UseCA:          req.WithCA,
-			AnalyzeWorkers: req.AnalyzeWorkers,
+			Tiles:        req.MaxTiles,
+			Interconnect: strings.Join(req.Interconnects, ","),
+			UseCA:        req.WithCA,
 		},
 		Counters: runlog.CountersFrom(rt.set),
 	}

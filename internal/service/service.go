@@ -55,11 +55,6 @@ type Config struct {
 	// CacheCapacity bounds the analysis cache in entries (default
 	// cache.DefaultCapacity).
 	CacheCapacity int
-	// AnalyzeWorkers is the default state-space exploration parallelism
-	// applied to jobs that do not request their own analyzeWorkers
-	// (statespace Options.Workers; results are bit-identical at any
-	// setting). Zero keeps the analysis kernel's sequential default.
-	AnalyzeWorkers int
 	// WarmCapacity bounds the warm-start cache of prior explorations
 	// shared by non-recorded jobs (default 256 entries; negative
 	// disables warm-start entirely). Recorded runs (RunLog set) always

@@ -239,20 +239,20 @@ func TestRequestValidation(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		want             int
+		mention          string // the error text must name this, when set
 	}{
-		{"malformed JSON", "/v1/flow", `{"workload":`, http.StatusBadRequest},
-		{"unknown field", "/v1/flow", `{"wrkload":{"name":"mjpeg"}}`, http.StatusBadRequest},
-		{"no application", "/v1/flow", `{}`, http.StatusUnprocessableEntity},
-		{"both sources", "/v1/flow", `{"appXML":"<x/>","workload":` + smallMJPEG + `}`, http.StatusUnprocessableEntity},
-		{"unknown workload", "/v1/analyze", `{"workload":{"name":"h264"}}`, http.StatusUnprocessableEntity},
-		{"unknown sequence", "/v1/analyze", `{"workload":{"name":"mjpeg","sequence":"nope"}}`, http.StatusUnprocessableEntity},
-		{"unknown interconnect", "/v1/flow", `{"workload":` + smallMJPEG + `,"interconnect":"pcie"}`, http.StatusUnprocessableEntity},
-		{"dse bad interconnect", "/v1/dse", `{"workload":` + smallMJPEG + `,"interconnects":["pcie"]}`, http.StatusUnprocessableEntity},
-		{"analyze negative workers", "/v1/analyze", `{"workload":` + smallMJPEG + `,"analyzeWorkers":-1}`, http.StatusBadRequest},
-		{"analyze huge workers", "/v1/analyze", `{"workload":` + smallMJPEG + `,"analyzeWorkers":100000}`, http.StatusBadRequest},
-		{"flow huge workers", "/v1/flow", `{"workload":` + smallMJPEG + `,"analyzeWorkers":100000}`, http.StatusBadRequest},
-		{"dse negative workers", "/v1/dse", `{"workload":` + smallMJPEG + `,"workers":-2}`, http.StatusBadRequest},
-		{"dse huge analyze workers", "/v1/dse", `{"workload":` + smallMJPEG + `,"analyzeWorkers":100000}`, http.StatusBadRequest},
+		{"malformed JSON", "/v1/flow", `{"workload":`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/flow", `{"wrkload":{"name":"mjpeg"}}`, http.StatusBadRequest, ""},
+		{"no application", "/v1/flow", `{}`, http.StatusUnprocessableEntity, ""},
+		{"both sources", "/v1/flow", `{"appXML":"<x/>","workload":` + smallMJPEG + `}`, http.StatusUnprocessableEntity, ""},
+		{"unknown workload", "/v1/analyze", `{"workload":{"name":"h264"}}`, http.StatusUnprocessableEntity, ""},
+		{"unknown sequence", "/v1/analyze", `{"workload":{"name":"mjpeg","sequence":"nope"}}`, http.StatusUnprocessableEntity, ""},
+		{"unknown interconnect", "/v1/flow", `{"workload":` + smallMJPEG + `,"interconnect":"pcie"}`, http.StatusUnprocessableEntity, ""},
+		{"dse bad interconnect", "/v1/dse", `{"workload":` + smallMJPEG + `,"interconnects":["pcie"]}`, http.StatusUnprocessableEntity, ""},
+		{"dse negative workers", "/v1/dse", `{"workload":` + smallMJPEG + `,"workers":-2}`, http.StatusBadRequest, ""},
+		// analyzeWorkers was removed with the sharded explorer; old
+		// clients still sending it get a 400, not a silently ignored field.
+		{"removed analyzeWorkers", "/v1/analyze", `{"workload":` + smallMJPEG + `,"analyzeWorkers":2}`, http.StatusBadRequest, `unknown field "analyzeWorkers"`},
 	}
 	for _, c := range cases {
 		resp, data := post(t, ts, c.path, c.body)
@@ -263,6 +263,9 @@ func TestRequestValidation(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: no error envelope in %s", c.name, data)
 		}
+		if !strings.Contains(e.Error, c.mention) {
+			t.Errorf("%s: error %q does not name %q", c.name, e.Error, c.mention)
+		}
 	}
 
 	// An XML model cannot execute iterations.
@@ -270,39 +273,6 @@ func TestRequestValidation(t *testing.T) {
 	resp, data := post(t, ts, "/v1/flow", string(body))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("XML+iterations: status %d, want 422 (%s)", resp.StatusCode, data)
-	}
-}
-
-// TestAnalyzeWorkersEquivalence pins the contract that justifies leaving
-// the worker count out of the content-hash cache keys: the same analyze
-// request answered at different analyzeWorkers settings (each on a fresh
-// server, so no cache short-circuits the comparison) is byte-for-byte
-// identical apart from request metadata.
-func TestAnalyzeWorkersEquivalence(t *testing.T) {
-	body := `{"workload":` + smallMJPEG + `,"targetThroughput":1e-5}`
-	results := make([]modelio.AnalyzeResponseJSON, 0, 3)
-	for _, w := range []int{1, 2, 4} {
-		s := New(Config{Workers: 1, AnalyzeWorkers: w})
-		ts := httptest.NewServer(s.Handler())
-		resp, data := post(t, ts, "/v1/analyze", body)
-		ts.Close()
-		s.Shutdown(context.Background())
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("analyzeWorkers=%d: status %d: %s", w, resp.StatusCode, data)
-		}
-		var out modelio.AnalyzeResponseJSON
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, out)
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Throughput != results[0].Throughput ||
-			results[i].Achieved != results[0].Achieved ||
-			len(results[i].Buffers) != len(results[0].Buffers) {
-			t.Fatalf("worker setting changed the analysis result:\n%+v\nvs\n%+v",
-				results[i], results[0])
-		}
 	}
 }
 

@@ -5,8 +5,11 @@
 package statespace_test
 
 import (
+	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"mamps/internal/arch"
 	"mamps/internal/mapping"
@@ -143,7 +146,10 @@ var mjpegGoldens = []mjpegGolden{
 	},
 }
 
-func TestGoldenMJPEG(t *testing.T) {
+// mjpegAnalysis returns the binding-aware analysis of the MJPEG
+// application mapped onto five tiles over interconnect ic.
+func mjpegAnalysis(t *testing.T, ic arch.InterconnectKind) (*sdf.Graph, statespace.Options) {
+	t.Helper()
 	stream, _, err := mjpeg.EncodeSequence(mjpeg.SeqGradient, 32, 32, 2, 90, mjpeg.Sampling420)
 	if err != nil {
 		t.Fatal(err)
@@ -152,19 +158,21 @@ func TestGoldenMJPEG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := arch.DefaultTemplate().Generate("p", 5, ic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.Map(app, p, mapping.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Expanded.Graph, statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
+}
+
+func TestGoldenMJPEG(t *testing.T) {
 	for _, want := range mjpegGoldens {
 		t.Run(want.ic.String(), func(t *testing.T) {
-			p, err := arch.DefaultTemplate().Generate("p", 5, want.ic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := mapping.Map(app, p, mapping.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := statespace.Analyze(m.Expanded.Graph, statespace.Options{
-				Schedules: m.ExpandedSchedules, MaxStates: 1 << 22,
-			})
+			r, err := statespace.Analyze(mjpegAnalysis(t, want.ic))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,6 +196,46 @@ func TestGoldenMJPEG(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInterruptStorm interrupts MJPEG explorations at random points. An
+// aborted run must report ErrInterrupted and nothing else, and must leave
+// nothing behind (its seen-table goes back to the pool) that changes a
+// later run: every run that completes equals the uninterrupted result.
+func TestInterruptStorm(t *testing.T) {
+	g, opt := mjpegAnalysis(t, arch.FSL)
+	start := time.Now()
+	want, err := statespace.Analyze(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Delays up to twice the uninterrupted run time, so roughly half the
+	// runs are cut mid-exploration whatever the host's speed.
+	span := 2 * time.Since(start)
+	rng := rand.New(rand.NewSource(7))
+	interrupted, completed := 0, 0
+	for i := 0; i < 40; i++ {
+		stop := make(chan struct{})
+		timer := time.AfterFunc(time.Duration(rng.Int63n(int64(span)+1)), func() { close(stop) })
+		opt.Interrupt = stop
+		got, err := statespace.Analyze(g, opt)
+		timer.Stop()
+		switch {
+		case errors.Is(err, statespace.ErrInterrupted):
+			interrupted++
+			if !reflect.DeepEqual(got, statespace.Result{}) {
+				t.Fatalf("iteration %d: interrupted run returned a result: %+v", i, got)
+			}
+		case err != nil:
+			t.Fatalf("iteration %d: %v", i, err)
+		default:
+			completed++
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iteration %d: completed result diverged\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+	}
+	t.Logf("interrupted=%d completed=%d", interrupted, completed)
 }
 
 // TestStatesExploredConsistent asserts the unified StatesExplored

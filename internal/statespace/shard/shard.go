@@ -3,17 +3,11 @@
 // Collisions are resolved by byte comparison, so the segment never stores
 // per-state heap objects or string keys.
 //
-// A Segment is the unit of sharding for parallel exploration: the producer
-// hashes every packed state key once and routes it by the hash's top bits
-// to the worker owning that segment, so each segment is only ever touched
-// by one goroutine and needs no locks. The sequential kernel is the
-// one-segment special case.
-//
-// Segments recycle through a size-classed pool: a released segment keeps
-// the capacity its last exploration grew to, so repeated analyses (buffer
-// minimization, DSE sweeps, the service) and concurrent shards reuse grown
-// storage instead of each cold-allocating. Arena doubling likewise releases
-// the outgrown buffer into the pool eagerly instead of waiting for GC.
+// A Segment is the seen-table of one exploration and is owned by it, so it
+// needs no locks. Segments recycle through a size-classed pool: a released
+// segment keeps the capacity its last exploration grew to, so repeated
+// analyses (buffer minimization, DSE sweeps, the service) reuse grown
+// storage instead of each cold-allocating.
 package shard
 
 import (
@@ -41,8 +35,7 @@ type Hint struct {
 }
 
 // Segment is one open-addressing hash segment over an append-only state
-// arena. It is not safe for concurrent use; parallel exploration gives
-// each worker exclusive ownership of its segment.
+// arena. It is not safe for concurrent use.
 type Segment struct {
 	seed   maphash.Seed
 	mask   uint64
@@ -78,14 +71,6 @@ func classFor(n int) int {
 var (
 	segPool   [numClasses]sync.Pool
 	classMask atomic.Uint32
-)
-
-// bufPool recycles raw arena buffers retired by growArena, so a doubling
-// in one shard reuses the buffer another shard (or a previous analysis)
-// outgrew.
-var (
-	bufPool [numClasses]sync.Pool
-	bufMask atomic.Uint32
 )
 
 // Get returns an empty segment sized for the hint. It prefers a recycled
@@ -162,13 +147,8 @@ func (s *Segment) Reset() {
 	s.hashes = s.hashes[:0]
 }
 
-// Hash returns the segment's hash of key. Parallel exploration hashes with
-// the producer's seed instead and passes the result to every segment, so
-// routing and probing agree on one hash per key.
+// Hash returns the segment's hash of key, to pass to LookupOrInsert.
 func (s *Segment) Hash(key []byte) uint64 { return maphash.Bytes(s.seed, key) }
-
-// Seed exposes the segment's hash seed for producers that hash centrally.
-func (s *Segment) Seed() maphash.Seed { return s.seed }
 
 // Len is the number of distinct states stored.
 func (s *Segment) Len() int { return len(s.visits) }
@@ -211,10 +191,7 @@ func (s *Segment) LookupOrInsert(h uint64, key []byte, v Visit) (Visit, bool) {
 }
 
 // growArena doubles the arena. Doubling (instead of append's shrinking
-// growth factor) bounds re-copies; routing the buffers through the pool
-// means the outgrown buffer is released eagerly for the next doubling —
-// under parallel exploration every shard doubles on a similar schedule,
-// so one shard's retired buffer becomes another's replacement.
+// growth factor) bounds re-copies.
 func (s *Segment) growArena(need int) {
 	nc := 2 * cap(s.arena)
 	if nc < 1<<minClassBits {
@@ -223,9 +200,8 @@ func (s *Segment) growArena(need int) {
 	for nc < len(s.arena)+need {
 		nc *= 2
 	}
-	na := getBuf(nc)[:len(s.arena)]
+	na := make([]byte, len(s.arena), nc)
 	copy(na, s.arena)
-	putBuf(s.arena)
 	s.arena = na
 }
 
@@ -242,33 +218,4 @@ func (s *Segment) grow() {
 		slots[i] = int32(j + 1)
 	}
 	s.slots, s.mask = slots, mask
-}
-
-// getBuf returns a zero-length buffer with capacity at least n, recycled
-// when the matching size class has one.
-func getBuf(n int) []byte {
-	c := classFor(n)
-	if bufMask.Load()&(1<<c) != 0 {
-		if v := bufPool[c].Get(); v != nil {
-			if b := *v.(*[]byte); cap(b) >= n {
-				return b[:0]
-			}
-		}
-	}
-	size := 1 << (minClassBits + c)
-	if size < n {
-		size = n
-	}
-	return make([]byte, 0, size)
-}
-
-// putBuf releases an outgrown buffer into its size class.
-func putBuf(b []byte) {
-	if cap(b) < 1<<minClassBits {
-		return
-	}
-	b = b[:0]
-	c := classFor(cap(b))
-	bufPool[c].Put(&b)
-	orBit(&bufMask, c)
 }

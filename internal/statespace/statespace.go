@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"mamps/internal/obs"
@@ -83,19 +82,6 @@ type Options struct {
 	// every publication behind a single pointer check, preserving the
 	// hot loop's allocation-free guarantee.
 	Telemetry *obs.ExplorerStats
-
-	// Workers selects the exploration parallelism. 1 runs the sequential
-	// kernel — the legacy path, byte for byte. Larger values shard the
-	// seen-table by state-key hash across a bounded pool of goroutines
-	// (rounded down to a power of two, at most maxShards), with a
-	// deterministic reduction that keeps the Result bit-identical to the
-	// sequential kernel at every worker count. Zero selects
-	// min(GOMAXPROCS, maxShards). Values beyond 4×GOMAXPROCS are clamped;
-	// callers exposed to untrusted input should validate before calling.
-	// When OnComplete is set the analysis always runs sequentially: the
-	// parallel producer may overrun the first recurrent state by a few
-	// states before the hit is detected, which would fire extra hooks.
-	Workers int
 
 	// SizeHint pre-sizes the state store from prior knowledge (typically a
 	// warm-start cache's record of a structurally identical exploration),
@@ -311,38 +297,11 @@ type explorer struct {
 	table     *shard.Segment
 }
 
-// maxShards bounds the number of seen-table segments (and so the worker
-// pool) of a parallel exploration: beyond this the single producer that
-// simulates the deterministic trajectory saturates first.
-const maxShards = 8
-
-// normalizeWorkers resolves Options.Workers: zero selects the automatic
-// default, absurd values are clamped, and the result is rounded down to a
-// power of two so the hash-partitioned shard routing is a shift.
-func normalizeWorkers(w int) int {
-	if limit := 4 * runtime.GOMAXPROCS(0); w > limit {
-		w = limit
-	}
-	if w <= 0 {
-		w = min(runtime.GOMAXPROCS(0), maxShards)
-	}
-	if w > maxShards {
-		w = maxShards
-	}
-	for w&(w-1) != 0 {
-		w &= w - 1 // round down to a power of two
-	}
-	return w
-}
-
 // Analyze explores the self-timed state space of g and returns its
 // worst-case throughput. The graph must be consistent. Execution must be
 // bounded (strongly connected graph, or buffer back-edges present, or all
 // actors scheduled); otherwise the exploration aborts with an error after
 // MaxStates states.
-//
-// The result is bit-identical at every Options.Workers setting; Workers=1
-// reproduces the original sequential kernel byte for byte.
 func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
@@ -356,10 +315,6 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if int(ref) >= g.NumActors() {
 		return Result{}, fmt.Errorf("statespace: reference actor %d out of range", ref)
 	}
-	if w := normalizeWorkers(opt.Workers); w > 1 && opt.OnComplete == nil {
-		return analyzeParallel(g, opt, q, maxStates, w)
-	}
-
 	var e explorer
 	if err := e.setup(g, opt, ref); err != nil {
 		return Result{}, err
@@ -415,11 +370,7 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 		e.now = e.events[0].at
 		e.finishZero()
 	}
-	return Result{}, exceededErr(g, maxStates)
-}
-
-func exceededErr(g *sdf.Graph, maxStates int) error {
-	return fmt.Errorf("statespace: graph %q exceeded %d states (unbounded execution?)", g.Name, maxStates)
+	return Result{}, fmt.Errorf("statespace: graph %q exceeded %d states (unbounded execution?)", g.Name, maxStates)
 }
 
 // keyHint estimates the packed-key length for store pre-sizing.
@@ -447,10 +398,8 @@ func (e *explorer) deadlockReport() string {
 
 // setup flattens the graph and schedules into the dense explorer runtime
 // and runs the start fixpoint to the first stable instant. It does not
-// create the state store: the sequential path owns one segment, the
-// parallel path one per shard. A method on a caller-owned value (rather
-// than a constructor) so the sequential path keeps its explorer on the
-// stack.
+// create the state store. A method on a caller-owned value (rather than a
+// constructor) so Analyze keeps its explorer on the stack.
 func (e *explorer) setup(g *sdf.Graph, opt Options, ref sdf.ActorID) error {
 	*e = explorer{g: g, opt: opt, ref: ref}
 

@@ -284,8 +284,8 @@ func copyResult(r statespace.Result) statespace.Result {
 // including names (DeadlockReport embeds actor and tile names) in
 // declaration order (MaxTokens is channel-ID-indexed), the schedules, and
 // the reference actor. Deliberately excluded: MaxStates (handled by the
-// budget check), Workers, SizeHint, Telemetry, Interrupt — none influence
-// a successful Result.
+// budget check), SizeHint, Telemetry, Interrupt — none influence a
+// successful Result.
 func exactKey(g *sdf.Graph, opt statespace.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "g:%d;", g.NumActors())
