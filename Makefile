@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-json bench-smoke obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress regress-update staticcheck vuln serve ci
+.PHONY: all build test race vet fmt fmt-check bench bench-json bench-smoke obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke perfbench-check regress regress-update staticcheck vuln serve ci
 
 all: build
 
@@ -151,6 +151,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndex$$' -fuzztime 10s ./internal/runlog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProof$$' -fuzztime 10s ./internal/runlog/ledger
 
+# The end-to-end benchmark program is its own module (perfbench/go.mod,
+# replacing mamps with this checkout), so `go test ./...` above never
+# compiles it. Its probe calls internal packages directly; vet and test
+# it here so an API change that breaks the benchmark fails fast.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Throughput-regression gate: replay the example-graph corpus (small
 # analysis graphs + the full MJPEG flow on FSL and NoC) and compare every
 # deterministic quantity — throughput bound, measured throughput,
@@ -176,4 +183,4 @@ vuln:
 serve:
 	$(GO) run ./cmd/mamps-serve
 
-ci: build vet fmt-check race obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke regress
+ci: build vet fmt-check race obs-smoke obs-agg-smoke faults-smoke dse-smoke ledger-smoke diag-smoke fuzz-smoke perfbench-check regress

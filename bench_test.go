@@ -34,13 +34,14 @@ import (
 	"mamps/internal/hsdf"
 	"mamps/internal/mapping"
 	"mamps/internal/mjpeg"
+	"mamps/internal/obs"
 	"mamps/internal/platgen"
 	"mamps/internal/sdf"
 	"mamps/internal/service"
+	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/solver"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // benchCfg is a slightly smaller workload than the experiment default so
@@ -242,13 +243,12 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeWarmStart measures the warm-start tiers against cold
-// analysis on the MJPEG mapped graph: an exact repeat, a uniformly
-// scaled-WCET variant (both answered arithmetically, no exploration) and
-// a one-WCET-delta variant. The delta variant's first request runs cold
-// (pre-sized by the structural hint) and is then cached, so its steady
-// state — what the loop measures — is the exact tier, which is the point
-// of warm-starting an iterative design loop.
+// BenchmarkAnalyzeWarmStart measures the analysis memo's tiers against
+// cold analysis on the MJPEG mapped graph: an exact repeat, and a genuine
+// scaled hit on every iteration. The scaled loop cycles through 16
+// uniformly scaled WCET variants built up front; the memo holds 8 entries,
+// so each variant's own entry is evicted before it recurs, and each
+// request is answered by scaling the previous variant.
 func BenchmarkAnalyzeWarmStart(b *testing.B) {
 	cfg, _ := mjpegAppForBench(b)
 	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)
@@ -261,34 +261,45 @@ func BenchmarkAnalyzeWarmStart(b *testing.B) {
 	}
 	g := m.Expanded.Graph
 	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
-	variant := func(scale int64, delta int64) *sdf.Graph {
-		vg := g.Clone()
-		for _, a := range vg.Actors() {
-			a.ExecTime *= scale
-		}
-		vg.Actors()[0].ExecTime += delta
-		return vg
-	}
-	run := func(b *testing.B, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), vg *sdf.Graph) {
+	run := func(b *testing.B, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), graphs ...*sdf.Graph) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := analyze(vg, sopt); err != nil {
+			if _, err := analyze(graphs[i%len(graphs)], sopt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, statespace.Analyze, g) })
-	warmed := func(b *testing.B) warm.AnalyzeFunc {
-		an := warm.New(8, nil).Analyzer(statespace.Analyze)
+	warmed := func(b *testing.B) (func(*sdf.Graph, statespace.Options) (statespace.Result, error), *obs.WarmStats) {
+		stats := obs.NewWarmStats(nil)
+		an := cache.Analyzer(cache.New(8), context.Background(), &obs.Set{Warm: stats})
 		if _, err := an(g, sopt); err != nil {
 			b.Fatal(err)
 		}
-		return an
+		return an, stats
 	}
-	b.Run("exact", func(b *testing.B) { run(b, warmed(b), g) })
-	b.Run("scaled", func(b *testing.B) { run(b, warmed(b), variant(3, 0)) })
-	b.Run("hint-1wcet-delta", func(b *testing.B) { run(b, warmed(b), variant(1, 7)) })
+	b.Run("cold", func(b *testing.B) { run(b, statespace.Analyze, g) })
+	b.Run("exact", func(b *testing.B) {
+		an, stats := warmed(b)
+		run(b, an, g)
+		if stats.Exact.Value() != int64(b.N) {
+			b.Fatalf("%d exact hits in %d iterations", stats.Exact.Value(), b.N)
+		}
+	})
+	b.Run("scaled", func(b *testing.B) {
+		variants := make([]*sdf.Graph, 16)
+		for k := range variants {
+			variants[k] = g.Clone()
+			for _, a := range variants[k].Actors() {
+				a.ExecTime *= int64(k + 2)
+			}
+		}
+		an, stats := warmed(b)
+		run(b, an, variants...)
+		if stats.Scaled.Value() != int64(b.N) {
+			b.Fatalf("%d scaled hits in %d iterations", stats.Scaled.Value(), b.N)
+		}
+	})
 }
 
 func BenchmarkHSDFConversion(b *testing.B) {

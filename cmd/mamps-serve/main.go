@@ -47,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", 4, "worker pool size")
 	queue := flag.Int("queue", 64, "job queue depth")
 	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "per-job execution timeout")
-	cacheCap := flag.Int("cache-entries", 4096, "analysis cache capacity (entries)")
+	cacheCap := flag.Int("cache-entries", 4096, "cache capacity (entries): request results and state-space analyses of every route")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on shutdown")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of key=value text")
@@ -55,7 +55,6 @@ func main() {
 	runlogDir := flag.String("runlog", "", "run registry directory: record every computed run and serve GET /v1/runs")
 	runlogMax := flag.Int("runlog-max-records", 10000, "run registry retention: max records kept (0 = unlimited)")
 	runlogAge := flag.Duration("runlog-max-age", 0, "run registry retention: max record age (0 = unlimited)")
-	warmCap := flag.Int("warm-entries", 0, "warm-start analysis cache capacity (0: default 256, negative: disable)")
 	traceRetention := flag.Bool("trace-retention", false, "tail-based trace retention: keep traces only for degraded/deadlocked/slow/regressed/sampled runs")
 	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "retention: keep traces slower than this quantile of their graph key's history (0: default 0.95)")
 	traceMinHist := flag.Int("trace-min-history", 0, "retention: keep every trace until a key has this many runs (0: default 20)")
@@ -108,7 +107,6 @@ func main() {
 		Logger:            logger,
 		EnablePprof:       *enablePprof,
 		RunLog:            runs,
-		WarmCapacity:      *warmCap,
 		SLOLatencyTarget:  *sloLatencyTarget,
 		SLOLatencyGoal:    *sloLatencyGoal,
 		SLOThroughputGoal: *sloThroughputGoal,

@@ -107,8 +107,8 @@ func Evaluate(g *sdf.Graph, d Distribution, opt statespace.Options) (float64, er
 	return EvaluateWith(g, d, nil, opt)
 }
 
-// EvaluateWith is Evaluate through a custom analysis entry point (e.g. a
-// warm-start cache or a telemetry wrapper); nil analyze selects
+// EvaluateWith is Evaluate through a custom analysis entry point (e.g.
+// the service's cache.Analyzer); nil analyze selects
 // statespace.Analyze. The entry point must be semantically equivalent to
 // statespace.Analyze.
 func EvaluateWith(g *sdf.Graph, d Distribution, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), opt statespace.Options) (float64, error) {

@@ -31,7 +31,6 @@ import (
 	"mamps/internal/service/cache"
 	"mamps/internal/solver"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Options configures a corpus replay.
@@ -213,7 +212,6 @@ func mjpegEntry(name string, ic arch.InterconnectKind) Entry {
 			Scenario:     "corpus",
 			Obs:          set,
 		}
-		cfg.MapOptions.Analyze = flow.TelemetryAnalyzer(ctx, set)
 		key := cache.GraphKey(app.Graph)
 		res, err := flow.RunContext(ctx, cfg)
 		if err != nil {
@@ -273,7 +271,7 @@ func solverEntry(name string) Entry {
 		mod := energy.DefaultModel()
 		mod.PEDynamicPJPerCycle += opt.PerturbEnergy
 		sopt := solver.Options{Mode: solver.Best, NodeBudget: 512, Energy: &mod, Obs: set}
-		sopt.MapOptions.Analyze = flow.TelemetryAnalyzer(ctx, set)
+		sopt.MapOptions.Analyze = cache.Analyzer(nil, ctx, set)
 
 		key := cache.GraphKey(app.Graph)
 		res, err := solver.Solve(ctx, app, plat, sopt)
@@ -300,10 +298,10 @@ func solverEntry(name string) Entry {
 	}}
 }
 
-// warmEntry replays a fixed request sequence through a private warm-start
-// cache and pins its reuse decisions: a cold miss, an exact repeat, a
-// uniformly scaled variant, a single-WCET delta (hint tier) and a refused
-// deadlock scaling (bailout). Every warm result is compared bit for bit
+// warmEntry replays a fixed request sequence through a private analysis
+// memo and pins its reuse decisions: a cold miss, an exact repeat, a
+// uniformly scaled variant, a single-WCET delta (a miss) and a refused
+// deadlock scaling (a bailout, also a miss). Every warm result is compared bit for bit
 // against a cold analysis of the same request — a divergence is unsound
 // reuse and fails the entry outright (an explicit error, not just counter
 // drift), while a silently changed reuse decision shows up as warm-counter
@@ -331,12 +329,12 @@ func warmEntry(name string) Entry {
 			return g, statespace.Options{}
 		}
 		stats := obs.NewWarmStats(nil)
-		analyze := warm.New(16, stats).Analyzer(statespace.Analyze)
+		analyze := cache.Analyzer(cache.New(16), context.Background(), &obs.Set{Warm: stats})
 		requests := []func() (*sdf.Graph, statespace.Options){
 			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // cold miss
 			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // exact hit
 			func() (*sdf.Graph, statespace.Options) { return build(9, 15, 6, 4) }, // scaled hit (×3)
-			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 7, 4) },  // hint (unrelated WCETs)
+			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 7, 4) },  // miss (unrelated WCETs)
 			func() (*sdf.Graph, statespace.Options) { return deadlock(1) },        // cold deadlock
 			func() (*sdf.Graph, statespace.Options) { return deadlock(2) },        // refused scaling -> bailout
 		}

@@ -35,10 +35,8 @@ import (
 	"mamps/internal/obs"
 	"mamps/internal/pareto"
 	"mamps/internal/platgen"
-	"mamps/internal/sdf"
 	"mamps/internal/service/cache"
 	"mamps/internal/solver"
-	"mamps/internal/statespace"
 )
 
 // Point is one evaluated platform configuration.
@@ -102,9 +100,9 @@ type Config struct {
 	Energy *energy.Model
 
 	// Cache, if set, memoizes the binding-aware throughput analyses of
-	// the sweep under their canonical content keys, so repeated sweeps
-	// (and concurrent sweeps in the mapping service) reuse every point
-	// already analyzed instead of re-exploring its state space.
+	// the sweep (see cache.Analyzer), so repeated sweeps (and concurrent
+	// sweeps in the mapping service) reuse every point already analyzed
+	// instead of re-exploring its state space.
 	Cache *cache.Cache
 
 	// Workers bounds the number of configurations evaluated concurrently
@@ -118,7 +116,7 @@ type Config struct {
 	// "dse" track for a sequential sweep, or per-worker "dse-worker-N"
 	// tracks for a parallel one — annotated with the candidate label and
 	// the resulting throughput or error, and threads the set's explorer
-	// counters into every point's state-space analyses.
+	// and warm-start counters into every point's state-space analyses.
 	Obs *obs.Set
 }
 
@@ -162,18 +160,11 @@ func SweepContext(ctx context.Context, app *appmodel.App, cfg Config) ([]Point, 
 	mo := cfg.MapOptions
 	if mo.Analyze == nil {
 		// Route every point's throughput verification through the shared
-		// cache (or, without one, just make it cancellable).
-		mo.Analyze = cache.Analyzer(cfg.Cache, ctx)
-	}
-	if stats := cfg.Obs.ExplorerOf(); stats != nil {
-		// Thread the explorer counters into every analysis. Safe to set
-		// before the cache analyzer computes its content key: telemetry
-		// destinations are not part of an analysis's identity.
-		inner := mo.Analyze
-		mo.Analyze = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			opt.Telemetry = stats
-			return inner(g, opt)
-		}
+		// cache (or, without one, just make it cancellable). The trace
+		// stays out: parallel workers' analyses would overlap on one
+		// "statespace" track.
+		tel := &obs.Set{Explorer: cfg.Obs.ExplorerOf(), Warm: cfg.Obs.WarmOf()}
+		mo.Analyze = cache.Analyzer(cfg.Cache, ctx, tel)
 	}
 
 	// Enumerate the candidate configurations up front; their order is the

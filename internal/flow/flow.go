@@ -31,10 +31,8 @@ import (
 	"mamps/internal/mapping"
 	"mamps/internal/obs"
 	"mamps/internal/platgen"
-	"mamps/internal/sdf"
+	"mamps/internal/service/cache"
 	"mamps/internal/sim"
-	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 	"mamps/internal/trace"
 	"mamps/internal/wcet"
 )
@@ -55,13 +53,6 @@ type Config struct {
 
 	// MapOptions steer the SDF3 step.
 	MapOptions mapping.Options
-
-	// Warm, if non-nil, routes the flow's analyses through the
-	// warm-start cache: identical or WCET-scaled repeats of a prior
-	// exploration are served arithmetically, structural near-misses
-	// pre-size the state store. Sound-or-cold: results are bit-identical
-	// to cold analysis.
-	Warm *warm.Cache
 
 	// Iterations to execute on the platform; zero skips execution (and
 	// the Expected analysis).
@@ -163,40 +154,6 @@ type Degraded struct {
 // equal to "MCUs per second per MHz of platform clock".
 func MCUsPerMegacycle(thr float64) float64 { return thr * 1e6 }
 
-// ContextAnalyzer returns a state-space analysis entry point that aborts
-// with statespace.ErrInterrupted once ctx is done. It is installed as
-// mapping.Options.Analyze so binding-aware verifications deep inside the
-// SDF3 step honour flow-level cancellation.
-func ContextAnalyzer(ctx context.Context) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-		opt.Interrupt = ctx.Done()
-		return statespace.Analyze(g, opt)
-	}
-}
-
-// TelemetryAnalyzer is ContextAnalyzer plus observability: each analysis
-// becomes a span on the trace's "statespace" track, annotated with the
-// graph name and the resulting state count and throughput, and the
-// exploration publishes its kernel counters into the set's ExplorerStats.
-// A nil set degrades to ContextAnalyzer.
-func TelemetryAnalyzer(ctx context.Context, tel *obs.Set) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	scope := tel.TraceOf().Scope("statespace")
-	stats := tel.ExplorerOf()
-	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-		opt.Interrupt = ctx.Done()
-		opt.Telemetry = stats
-		span := scope.Begin("analyze", obs.String("graph", g.Name))
-		r, err := statespace.Analyze(g, opt)
-		span.SetAttrs(
-			obs.Int("states", int64(r.StatesExplored)),
-			obs.Float("throughput", r.Throughput),
-			obs.Bool("deadlocked", r.Deadlocked),
-		)
-		span.End()
-		return r, err
-	}
-}
-
 // Run executes the flow without cancellation, on the system clock.
 func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
@@ -219,20 +176,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Make the deep analyses cancellable: unless the caller installed its
-	// own analyzer (e.g. the service's memoizing cache, which handles
-	// cancellation itself), wire the context — and, when enabled, the
-	// telemetry — into the exploration.
-	if cfg.MapOptions.Analyze == nil && (ctx.Done() != nil || cfg.Obs != nil) {
-		cfg.MapOptions.Analyze = TelemetryAnalyzer(ctx, cfg.Obs)
-	}
-	if cfg.Warm != nil {
-		// Outermost, so warm hits skip the inner analyzer entirely.
-		inner := cfg.MapOptions.Analyze
-		if inner == nil {
-			inner = statespace.Analyze
-		}
-		cfg.MapOptions.Analyze = cfg.Warm.Analyzer(inner)
+	// Make the deep analyses cancellable and observed, unless the caller
+	// installed its own analyzer (e.g. the service's memoizing one).
+	if cfg.MapOptions.Analyze == nil {
+		cfg.MapOptions.Analyze = cache.Analyzer(nil, ctx, cfg.Obs)
 	}
 	flowScope := cfg.Obs.TraceOf().Scope("flow")
 	res := &Result{}

@@ -11,6 +11,7 @@ import (
 	"mamps/internal/clock"
 	"mamps/internal/mjpeg"
 	"mamps/internal/sdf"
+	"mamps/internal/service/cache"
 	"mamps/internal/statespace"
 )
 
@@ -84,8 +85,8 @@ func TestRunContextCancelledDuringStep(t *testing.T) {
 	}
 }
 
-// TestContextAnalyzerInterrupts: the analyzer installed for cancellation
-// aborts the state-space exploration with ErrInterrupted.
+// TestContextAnalyzerInterrupts: the analyzer RunContext installs by
+// default aborts the state-space exploration with ErrInterrupted.
 func TestContextAnalyzerInterrupts(t *testing.T) {
 	g := sdf.NewGraph("g")
 	a := g.AddActor("A", 10)
@@ -94,7 +95,7 @@ func TestContextAnalyzerInterrupts(t *testing.T) {
 	g.Connect(b, a, 1, 1, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ContextAnalyzer(ctx)(g, statespace.Options{})
+	_, err := cache.Analyzer(nil, ctx, nil)(g, statespace.Options{})
 	if !errors.Is(err, statespace.ErrInterrupted) {
 		t.Fatalf("err = %v, want statespace.ErrInterrupted", err)
 	}

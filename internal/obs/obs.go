@@ -476,20 +476,19 @@ func (s *SolverStats) AddTo(dst *SolverStats) {
 	dst.Verifications.Add(s.Verifications.Value())
 }
 
-// WarmStats receives the warm-start analysis cache's counters: how often
-// a prior exploration was reused (and at which tier) versus analyzed
-// cold. Create with NewWarmStats.
+// WarmStats receives the analysis memo's counters: how often a prior
+// exploration was reused (and at which tier) versus analyzed cold. Every
+// lookup counts as exactly one of Exact, Scaled or Misses. Create with
+// NewWarmStats.
 type WarmStats struct {
 	// Exact counts full-result reuse (identical graph, schedules and
 	// reference actor); Scaled counts results transformed from a prior
-	// exploration whose WCETs differ by one exact rational factor; Hint
-	// counts cold analyses accelerated by a structural size hint.
+	// exploration whose WCETs differ by one exact rational factor.
 	Exact  *Counter
 	Scaled *Counter
-	Hint   *Counter
-	// Misses counts analyses with no structural match; Bailouts counts
-	// requests the cache refused to serve (side-effecting options) and
-	// reuse attempts abandoned because soundness could not be proven.
+	// Misses counts lookups that ran cold; Bailouts counts the misses
+	// where reuse was refused because soundness could not be proven
+	// (side-effecting options, state budget, deadlocks, overflow).
 	Misses   *Counter
 	Bailouts *Counter
 }
@@ -500,16 +499,15 @@ type WarmStats struct {
 func NewWarmStats(r *Registry) *WarmStats {
 	if r == nil {
 		return &WarmStats{
-			Exact: &Counter{}, Scaled: &Counter{}, Hint: &Counter{},
+			Exact: &Counter{}, Scaled: &Counter{},
 			Misses: &Counter{}, Bailouts: &Counter{},
 		}
 	}
 	return &WarmStats{
 		Exact:    r.Counter("mamps_warmstart_exact_hits_total", "Analyses served verbatim from a prior exploration."),
 		Scaled:   r.Counter("mamps_warmstart_scaled_hits_total", "Analyses transformed from a prior exploration by an exact WCET scaling."),
-		Hint:     r.Counter("mamps_warmstart_hint_hits_total", "Cold analyses pre-sized from a structurally matching prior exploration."),
-		Misses:   r.Counter("mamps_warmstart_misses_total", "Analyses with no reusable prior exploration."),
-		Bailouts: r.Counter("mamps_warmstart_bailouts_total", "Reuse attempts abandoned because soundness could not be proven."),
+		Misses:   r.Counter("mamps_warmstart_misses_total", "Analyses run cold."),
+		Bailouts: r.Counter("mamps_warmstart_bailouts_total", "Cold analyses whose reuse was refused because soundness could not be proven."),
 	}
 }
 
@@ -521,7 +519,6 @@ func (w *WarmStats) AddTo(dst *WarmStats) {
 	}
 	dst.Exact.Add(w.Exact.Value())
 	dst.Scaled.Add(w.Scaled.Value())
-	dst.Hint.Add(w.Hint.Value())
 	dst.Misses.Add(w.Misses.Value())
 	dst.Bailouts.Add(w.Bailouts.Value())
 }

@@ -12,7 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"mamps/internal/clock"
 	"mamps/internal/runlog/faultio"
 )
 
@@ -137,7 +139,11 @@ func testLineLen(t *testing.T) (int, error) {
 // recovered chain. This is the tentpole's core durability matrix.
 func TestCrashTruncationEveryOffset(t *testing.T) {
 	golden := t.TempDir()
-	r, err := Open(golden, Options{})
+	// A fixed clock fixes the index bytes, and with them the subtest set.
+	// Its full nanosecond field keeps each timestamp at the width most
+	// wall-clock readings have.
+	clk := clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 123456789, time.UTC))
+	r, err := Open(golden, Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

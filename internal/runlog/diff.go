@@ -75,11 +75,13 @@ type Diff struct {
 	FaultEvents    Delta `json:"faultEvents"`
 	SolverNodes    Delta `json:"solverNodes"`
 	SolverPruned   Delta `json:"solverPruned"`
-	// WarmHits and WarmMisses compare the warm-start cache's reuse
-	// decisions (exact + scaled + hint vs. misses + bailouts): for a
-	// replayed request sequence these are deterministic, so any drift
-	// means the reuse policy changed — which must be reviewed, because
-	// an over-eager policy is how unsound reuse would first manifest.
+	// WarmHits and WarmMisses compare the analysis memo's reuse
+	// decisions (exact + scaled vs. misses, bailouts being a subset of
+	// misses): for a replayed request sequence these are deterministic,
+	// so any drift means the reuse policy changed — which must be
+	// reviewed, because an over-eager policy is how unsound reuse would
+	// first manifest. A legacy record's hint analyses ran cold and count
+	// as misses.
 	WarmHits   Delta `json:"warmHits"`
 	WarmMisses Delta `json:"warmMisses"`
 
@@ -107,11 +109,11 @@ func Compare(a, b *Record) Diff {
 		SolverNodes:     delta(float64(a.Counters.SolverNodes), float64(b.Counters.SolverNodes)),
 		SolverPruned:    delta(float64(a.Counters.SolverPruned), float64(b.Counters.SolverPruned)),
 		WarmHits: delta(
-			float64(a.Counters.WarmExact+a.Counters.WarmScaled+a.Counters.WarmHint),
-			float64(b.Counters.WarmExact+b.Counters.WarmScaled+b.Counters.WarmHint)),
+			float64(a.Counters.WarmExact+a.Counters.WarmScaled),
+			float64(b.Counters.WarmExact+b.Counters.WarmScaled)),
 		WarmMisses: delta(
-			float64(a.Counters.WarmMisses+a.Counters.WarmBailouts),
-			float64(b.Counters.WarmMisses+b.Counters.WarmBailouts)),
+			float64(a.Counters.WarmMisses+a.Counters.WarmHint),
+			float64(b.Counters.WarmMisses+b.Counters.WarmHint)),
 	}
 	bSteps := make(map[string]float64, len(b.Steps))
 	for _, s := range b.Steps {
@@ -225,11 +227,11 @@ func compareToBaseline(base, rec *Record, tol Tolerances) *Regression {
 	// zero tolerance, so a silently changed reuse policy (the precursor
 	// of unsound reuse) fails loudly rather than passing on luck.
 	if d.WarmHits.Changed(0) {
-		reason("warm-start hits drifted (%.0f -> %.0f exact+scaled+hint; reuse policy changed — verify soundness before accepting)",
+		reason("warm-start hits drifted (%.0f -> %.0f exact+scaled; reuse policy changed — verify soundness before accepting)",
 			d.WarmHits.A, d.WarmHits.B)
 	}
 	if d.WarmMisses.Changed(0) {
-		reason("warm-start misses drifted (%.0f -> %.0f misses+bailouts; reuse policy changed — verify soundness before accepting)",
+		reason("warm-start misses drifted (%.0f -> %.0f misses; reuse policy changed — verify soundness before accepting)",
 			d.WarmMisses.A, d.WarmMisses.B)
 	}
 	return reg

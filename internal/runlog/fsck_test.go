@@ -304,55 +304,72 @@ func TestGCAdoptsLegacy(t *testing.T) {
 	}
 }
 
-// TestLegacyAnalyzeWorkersRecord: records written while requests could
-// still choose the state-space parallelism carry "analyzeWorkers". The
-// field is kept read-only so such an index still opens, verifies, and
-// re-marshals to the exact bytes the ledger hashed.
+// TestLegacyAnalyzeWorkersRecord: records written before a field's
+// removal still carry it — "analyzeWorkers" from when requests could
+// choose the state-space parallelism, "warmHint" from the analysis
+// memo's hint tier. Such fields are kept read-only so the index still
+// opens, verifies, and re-marshals to the exact bytes the ledger hashed.
 func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		field  string
+		set    func(*Record)
+		stored func(Record) bool
+	}{
+		{`"analyzeWorkers":4`,
+			func(r *Record) { r.Config.AnalyzeWorkers = 4 },
+			func(r Record) bool { return r.Config.AnalyzeWorkers == 4 }},
+		{`"warmHint":2`,
+			func(r *Record) { r.Counters.WarmHint = 2 },
+			func(r Record) bool { return r.Counters.WarmHint == 2 }},
 	}
-	rec := testRecord("legacy", 0.25)
-	rec.Config.AnalyzeWorkers = 4
-	stored, err := r.Append(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := testRecord("legacy", 0.25)
+			tc.set(&rec)
+			stored, err := r.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
 
-	index, err := os.ReadFile(filepath.Join(dir, indexName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := bytes.TrimSuffix(index, []byte("\n"))
-	if !bytes.Contains(line, []byte(`"analyzeWorkers":4`)) {
-		t.Fatalf("fixture lacks the legacy field: %s", line)
-	}
+			index, err := os.ReadFile(filepath.Join(dir, indexName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			line := bytes.TrimSuffix(index, []byte("\n"))
+			if !bytes.Contains(line, []byte(tc.field)) {
+				t.Fatalf("fixture lacks the legacy field: %s", line)
+			}
 
-	r, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, ok := r.Get(stored.ID)
-	if !ok || got.Config.AnalyzeWorkers != 4 {
-		t.Fatalf("reopened record = %+v, %v", got.Config, ok)
-	}
-	again, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, line) {
-		t.Fatalf("re-marshal differs:\n got %s\nwant %s", again, line)
-	}
-	rep, err := Fsck(dir, FsckOptions{Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() || rep.Chained != 1 || len(rep.Warnings) != 0 {
-		t.Fatalf("fsck: %+v", rep)
+			r, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, ok := r.Get(stored.ID)
+			if !ok || !tc.stored(got) {
+				t.Fatalf("reopened record = %+v, %v", got, ok)
+			}
+			again, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, line) {
+				t.Fatalf("re-marshal differs:\n got %s\nwant %s", again, line)
+			}
+			rep, err := Fsck(dir, FsckOptions{Strict: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() || rep.Chained != 1 || len(rep.Warnings) != 0 {
+				t.Fatalf("fsck: %+v", rep)
+			}
+		})
 	}
 }
 

@@ -246,6 +246,9 @@ type Counters struct {
 	// sequence: the regression gate pins them so a silently changed
 	// reuse decision — the precursor of an unsound reuse — fails with an
 	// explicit reason.
+	// WarmHint is read-only: records from before the hint tier's removal
+	// carry it (cold analyses then pre-sized from a structural match), and
+	// the ledger hashed their exact bytes, field order included.
 	WarmExact    int64 `json:"warmExact,omitempty"`
 	WarmScaled   int64 `json:"warmScaled,omitempty"`
 	WarmHint     int64 `json:"warmHint,omitempty"`
@@ -278,7 +281,6 @@ func CountersFrom(set *obs.Set) Counters {
 	if w := set.WarmOf(); w != nil {
 		c.WarmExact = w.Exact.Value()
 		c.WarmScaled = w.Scaled.Value()
-		c.WarmHint = w.Hint.Value()
 		c.WarmMisses = w.Misses.Value()
 		c.WarmBailouts = w.Bailouts.Value()
 	}

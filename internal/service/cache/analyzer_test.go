@@ -1,0 +1,398 @@
+package cache
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"mamps/internal/obs"
+	"mamps/internal/sdf"
+	"mamps/internal/statespace"
+)
+
+type analyzeFunc = func(*sdf.Graph, statespace.Options) (statespace.Result, error)
+
+// newAnalyzer returns a memoizing analyzer over a fresh cache of the
+// given capacity, with its warm-start counters.
+func newAnalyzer(capacity int) (analyzeFunc, *obs.WarmStats) {
+	stats := obs.NewWarmStats(nil)
+	return Analyzer(New(capacity), context.Background(), &obs.Set{Warm: stats}), stats
+}
+
+// pipeline builds a 3-actor cycle with the given WCETs.
+func pipeline(wcets [3]int64, tokens int) *sdf.Graph {
+	g := sdf.NewGraph("pipe3")
+	a := g.AddActor("a", wcets[0])
+	b := g.AddActor("b", wcets[1])
+	c := g.AddActor("c", wcets[2])
+	g.Connect(a, b, 1, 1, 0)
+	g.Connect(b, c, 1, 1, 0)
+	g.Connect(c, a, 1, 1, tokens)
+	return g
+}
+
+// check runs the request through an and cold, and fails on any
+// divergence.
+func check(t *testing.T, an analyzeFunc, g *sdf.Graph, opt statespace.Options) statespace.Result {
+	t.Helper()
+	got, err := an(g, opt)
+	if err != nil {
+		t.Fatalf("memoized analyze: %v", err)
+	}
+	want, err := statespace.Analyze(g, opt)
+	if err != nil {
+		t.Fatalf("cold analyze: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("memoized result diverged from cold\n got %+v\nwant %+v", got, want)
+	}
+	return got
+}
+
+func TestTiers(t *testing.T) {
+	an, stats := newAnalyzer(8)
+	want := func(exact, scaled, misses int64) {
+		t.Helper()
+		if stats.Exact.Value() != exact || stats.Scaled.Value() != scaled || stats.Misses.Value() != misses {
+			t.Fatalf("exact/scaled/misses = %d/%d/%d, want %d/%d/%d",
+				stats.Exact.Value(), stats.Scaled.Value(), stats.Misses.Value(), exact, scaled, misses)
+		}
+	}
+
+	// Cold: first sight of the structure.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	want(0, 0, 1)
+	// Exact: the identical request again.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	want(1, 0, 1)
+	// Scaled: all WCETs times 7/1.
+	check(t, an, pipeline([3]int64{21, 35, 14}, 4), statespace.Options{})
+	want(1, 1, 1)
+	// 21,35,14 is now the latest of its structure, but 3,5,2 is an exact
+	// repeat, not a scaling by 1/7.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	want(2, 1, 1)
+	check(t, an, pipeline([3]int64{6, 10, 4}, 4), statespace.Options{})
+	want(2, 2, 1)
+	// Same structure, unrelated WCETs: cold.
+	check(t, an, pipeline([3]int64{3, 5, 7}, 4), statespace.Options{})
+	want(2, 2, 2)
+	// Different structure (token count): cold.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
+	want(2, 2, 3)
+	if stats.Bailouts.Value() != 0 {
+		t.Fatalf("Bailouts = %d, want 0", stats.Bailouts.Value())
+	}
+}
+
+func TestScaledMatchesColdExactly(t *testing.T) {
+	// Sweep factors including non-integer rationals; every scaled result
+	// must equal cold bit for bit (float Throughput included).
+	an, stats := newAnalyzer(8)
+	base := [3]int64{6, 10, 4}
+	check(t, an, pipeline(base, 2), statespace.Options{})
+	for _, f := range []struct{ p, q int64 }{{2, 1}, {3, 2}, {1, 2}, {7, 2}, {5, 1}} {
+		w := [3]int64{base[0] * f.p / f.q, base[1] * f.p / f.q, base[2] * f.p / f.q}
+		check(t, an, pipeline(w, 2), statespace.Options{})
+	}
+	if stats.Scaled.Value() == 0 {
+		t.Fatal("no request took the scaled tier")
+	}
+}
+
+func TestDeadlockNeverScaled(t *testing.T) {
+	an, stats := newAnalyzer(8)
+	dead := func(wcet int64) *sdf.Graph {
+		g := sdf.NewGraph("dead")
+		a := g.AddActor("a", wcet)
+		b := g.AddActor("b", wcet)
+		g.Connect(a, b, 1, 1, 0)
+		g.Connect(b, a, 1, 1, 0)
+		return g
+	}
+	check(t, an, dead(1), statespace.Options{})
+	// Same structure, scaled WCETs: must bail out of the scaled tier and
+	// run cold, never transform the deadlock.
+	check(t, an, dead(2), statespace.Options{})
+	if stats.Scaled.Value() != 0 {
+		t.Fatalf("Scaled = %d, want 0 for deadlocks", stats.Scaled.Value())
+	}
+	if stats.Bailouts.Value() != 1 || stats.Misses.Value() != 2 {
+		t.Fatalf("bailouts/misses = %d/%d, want 1/2 (a bailout is a miss)", stats.Bailouts.Value(), stats.Misses.Value())
+	}
+	// The exact tier still serves deadlocks verbatim.
+	check(t, an, dead(1), statespace.Options{})
+	if stats.Exact.Value() != 1 {
+		t.Fatalf("Exact = %d, want 1", stats.Exact.Value())
+	}
+}
+
+func TestBudgetGuard(t *testing.T) {
+	// A cached exploration must not satisfy a request whose MaxStates
+	// budget the cold kernel would exceed.
+	an, _ := newAnalyzer(8)
+	g := pipeline([3]int64{3, 5, 2}, 4)
+	res, err := an(g, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := statespace.Options{MaxStates: res.StatesExplored}
+	if _, err := an(pipeline([3]int64{3, 5, 2}, 4), tight); err == nil {
+		t.Fatal("memo served a result the cold kernel would refuse (budget exceeded)")
+	}
+	if _, err := statespace.Analyze(g, tight); err == nil {
+		t.Fatal("cold kernel accepted the tight budget; test premise broken")
+	}
+	// One more state of budget and both succeed again.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{MaxStates: res.StatesExplored + 1})
+}
+
+func TestOnCompleteBypassesCache(t *testing.T) {
+	an, stats := newAnalyzer(8)
+	g := pipeline([3]int64{3, 5, 2}, 4)
+	if _, err := an(g, statespace.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	opt := statespace.Options{OnComplete: func(sdf.ActorID, int64) { fired++ }}
+	if _, err := an(pipeline([3]int64{3, 5, 2}, 4), opt); err != nil {
+		t.Fatal(err)
+	}
+	if fired == 0 {
+		t.Fatal("OnComplete never fired: memo served a side-effecting analysis")
+	}
+	if stats.Bailouts.Value() != 1 || stats.Exact.Value() != 0 {
+		t.Fatalf("bailouts/exact = %d/%d, want 1/0", stats.Bailouts.Value(), stats.Exact.Value())
+	}
+}
+
+func TestResultIsolation(t *testing.T) {
+	// Mutating a returned Result must not corrupt the memo.
+	an, _ := newAnalyzer(8)
+	g := pipeline([3]int64{3, 5, 2}, 4)
+	first, err := an(g, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.MaxTokens {
+		first.MaxTokens[i] = -1
+	}
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+}
+
+func TestEviction(t *testing.T) {
+	an, stats := newAnalyzer(2)
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
+	check(t, an, pipeline([3]int64{3, 5, 2}, 2), statespace.Options{}) // evicts the first
+	// Neither tier may reach the evicted exploration.
+	check(t, an, pipeline([3]int64{6, 10, 4}, 4), statespace.Options{})
+	if stats.Exact.Value() != 0 || stats.Scaled.Value() != 0 || stats.Misses.Value() != 4 {
+		t.Fatalf("exact/scaled/misses = %d/%d/%d, want 0/0/4 after eviction",
+			stats.Exact.Value(), stats.Scaled.Value(), stats.Misses.Value())
+	}
+}
+
+// chainGraph builds a simple pipeline with a state self-loop on the head.
+func chainGraph(execTimes ...int64) *sdf.Graph {
+	g := sdf.NewGraph("chain")
+	var prev *sdf.Actor
+	for i, et := range execTimes {
+		a := g.AddActor(fmt.Sprintf("a%d", i), et)
+		g.AddStateChannel(a)
+		if prev != nil {
+			ch := g.Connect(prev, a, 1, 1, 0)
+			ch.Name = fmt.Sprintf("c%d", i)
+			back := g.Connect(a, prev, 1, 1, 2)
+			back.Name = fmt.Sprintf("s%d", i)
+		}
+		prev = a
+	}
+	return g
+}
+
+func TestAnalyzerMemoizesAndCancels(t *testing.T) {
+	c := New(16)
+	g := chainGraph(3, 5, 2)
+	an := Analyzer(c, context.Background(), nil)
+
+	r1, err := an(g, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := an(g, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Throughput != r2.Throughput || r1.Throughput <= 0 {
+		t.Fatalf("throughputs differ or zero: %v vs %v", r1.Throughput, r2.Throughput)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
+	}
+
+	// A cancelled context aborts an uncached analysis.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	other := chainGraph(7, 7) // different key, so no cache rescue
+	if _, err := Analyzer(c, ctx, nil)(other, statespace.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	// A nil cache still works (uncached, cancellable).
+	if _, err := Analyzer(nil, context.Background(), nil)(other, statespace.Options{}); err != nil {
+		t.Fatalf("nil-cache analyzer: %v", err)
+	}
+	if _, err := Analyzer(nil, ctx, nil)(other, statespace.Options{}); !errors.Is(err, statespace.ErrInterrupted) {
+		t.Fatalf("cancelled nil-cache analyzer: err = %v, want statespace.ErrInterrupted", err)
+	}
+}
+
+// TestAnalyzerTelemetry: explorations publish explorer counters and one
+// "statespace" span each; memo hits publish neither.
+func TestAnalyzerTelemetry(t *testing.T) {
+	tr := obs.New()
+	set := &obs.Set{Trace: tr, Explorer: obs.NewExplorerStats(nil), Warm: obs.NewWarmStats(nil)}
+	an := Analyzer(New(8), context.Background(), set)
+	for i := 0; i < 3; i++ {
+		check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	}
+	if n := set.Explorer.Analyses.Value(); n != 1 {
+		t.Fatalf("explorer analyses = %d, want 1", n)
+	}
+	if n := tr.SpanCount(); n != 1 {
+		t.Fatalf("spans = %d, want 1", n)
+	}
+	if set.Warm.Exact.Value() != 2 {
+		t.Fatalf("Exact = %d, want 2", set.Warm.Exact.Value())
+	}
+}
+
+// TestMemoMatchesCold is the memo's soundness table: after a prior
+// analysis of a nearby request, the memo's answer to the probe must
+// equal a fresh cold analysis in every Result field (DeadlockReport and
+// MaxTokens included) or fail with the cold error.
+func TestMemoMatchesCold(t *testing.T) {
+	// cycle builds a 2-cycle; with tokens 0 it deadlocks and the report
+	// names the blocked tile and channel.
+	cycle := func(ch1, ch2 string, tokens int) *sdf.Graph {
+		g := sdf.NewGraph("cycle")
+		a := g.AddActor("a", 2)
+		b := g.AddActor("b", 3)
+		g.Connect(a, b, 1, 1, 0).Name = ch1
+		g.Connect(b, a, 1, 1, tokens).Name = ch2
+		return g
+	}
+	oneTile := func(tile string) statespace.Options {
+		return statespace.Options{Schedules: []statespace.Schedule{{Tile: tile, Entries: []sdf.ActorID{0, 1}}}}
+	}
+	twoTiles := func(first, second int) statespace.Options {
+		tiles := []statespace.Schedule{
+			{Tile: "t0", Entries: []sdf.ActorID{0}},
+			{Tile: "t1", Entries: []sdf.ActorID{1}},
+		}
+		return statespace.Options{Schedules: []statespace.Schedule{tiles[first], tiles[second]}}
+	}
+	type request struct {
+		g   *sdf.Graph
+		opt statespace.Options
+	}
+	probe, err := statespace.Analyze(cycle("x1", "x2", 1), oneTile("tileA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name         string
+		prior, probe request
+	}{
+		{"channel names",
+			request{cycle("x1", "x2", 0), oneTile("tileA")},
+			request{cycle("y1", "y2", 0), oneTile("tileA")}},
+		{"tile labels",
+			request{cycle("x1", "x2", 0), oneTile("tileA")},
+			request{cycle("x1", "x2", 0), oneTile("tileB")}},
+		{"schedule order",
+			request{cycle("x1", "x2", 0), twoTiles(0, 1)},
+			request{cycle("x1", "x2", 0), twoTiles(1, 0)}},
+		{"names and labels together",
+			request{cycle("x1", "x2", 0), oneTile("tileA")},
+			request{cycle("y1", "y2", 0), oneTile("tileB")}},
+		{"tile labels without a deadlock",
+			request{cycle("x1", "x2", 1), oneTile("tileA")},
+			request{cycle("x1", "x2", 1), oneTile("tileB")}},
+		{"budget below the cached exploration",
+			request{cycle("x1", "x2", 1), oneTile("tileA")},
+			request{cycle("x1", "x2", 1), statespace.Options{
+				Schedules: oneTile("tileA").Schedules, MaxStates: probe.StatesExplored}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			an, _ := newAnalyzer(8)
+			if _, err := an(tc.prior.g, tc.prior.opt); err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := an(tc.probe.g, tc.probe.opt)
+			want, wantErr := statespace.Analyze(tc.probe.g, tc.probe.opt)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("err = %v, want the cold error %v", gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("memo answer differs from cold\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestKeyTiers: the structural half ignores WCETs only; the exact key
+// covers every field a Result depends on but the tile labels, which
+// only a deadlock report prints (TestMemoMatchesCold covers those).
+func TestKeyTiers(t *testing.T) {
+	g := pipeline([3]int64{3, 5, 2}, 4)
+	sched := statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{0, 1, 2}}}}
+	exact, structural := analysisKey(g, sched)
+
+	scaled := pipeline([3]int64{6, 10, 4}, 4)
+	e2, s2 := analysisKey(scaled, sched)
+	if s2 != structural || e2 == exact {
+		t.Error("WCETs must change the exact key only")
+	}
+	bounded := sched
+	bounded.MaxStates = 99
+	if e, _ := analysisKey(g, bounded); e != exact {
+		t.Error("MaxStates influenced the exact key")
+	}
+	relabeled := statespace.Options{Schedules: []statespace.Schedule{{Tile: "t1", Entries: []sdf.ActorID{0, 1, 2}}}}
+	if e, _ := analysisKey(g, relabeled); e != exact {
+		t.Error("a tile label influenced the exact key")
+	}
+	mutations := map[string]func() (*sdf.Graph, statespace.Options){
+		"static order": func() (*sdf.Graph, statespace.Options) {
+			return g, statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{2, 1, 0}}}}
+		},
+		"reference actor": func() (*sdf.Graph, statespace.Options) {
+			o := sched
+			o.ReferenceActor = 1
+			return g, o
+		},
+		"channel name": func() (*sdf.Graph, statespace.Options) {
+			h := pipeline([3]int64{3, 5, 2}, 4)
+			h.Channels()[0].Name = "renamed"
+			return h, sched
+		},
+		"initial tokens": func() (*sdf.Graph, statespace.Options) {
+			return pipeline([3]int64{3, 5, 2}, 3), sched
+		},
+		"concurrency cap": func() (*sdf.Graph, statespace.Options) {
+			h := pipeline([3]int64{3, 5, 2}, 4)
+			h.Actors()[1].MaxConcurrent = 2
+			return h, sched
+		},
+	}
+	for name, mut := range mutations {
+		if e, s := analysisKey(mut()); e == exact || s == structural {
+			t.Errorf("%s did not change both keys", name)
+		}
+	}
+}

@@ -1,18 +1,17 @@
 // Package cache implements the content-addressed analysis cache of the
-// mapping service: deterministic, pure analysis results (state-space
-// throughput, buffer sizing, whole mapping/flow responses) memoized under
-// canonical content keys, with single-flight deduplication so N identical
-// concurrent requests trigger exactly one computation.
+// mapping service: deterministic, pure results (whole analyze, flow and
+// DSE responses, and every state-space analysis through Analyzer)
+// memoized under content keys in one bounded LRU, with single-flight
+// deduplication so N identical concurrent requests trigger exactly one
+// computation.
 package cache
 
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sync"
-
-	"mamps/internal/sdf"
-	"mamps/internal/statespace"
 )
 
 // DefaultCapacity is the entry bound used when New is given a
@@ -62,6 +61,7 @@ type Cache struct {
 	lru      *list.List // front = most recently used; values are *entry
 	entries  map[string]*list.Element
 	inflight map[string]*call
+	structs  map[[sha256.Size]byte]*memo // the scaled tier's index into lru
 	stats    Stats
 }
 
@@ -76,6 +76,7 @@ func New(capacity int) *Cache {
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*call),
+		structs:  make(map[[sha256.Size]byte]*memo),
 	}
 }
 
@@ -148,10 +149,16 @@ func (c *Cache) finish(key string, cl *call, store bool) {
 	if store {
 		el := c.lru.PushFront(&entry{key: key, val: cl.val})
 		c.entries[key] = el
+		if m, ok := cl.val.(*memo); ok {
+			c.structs[m.structural] = m
+		}
 		for c.lru.Len() > c.capacity {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*entry).key)
+			oldest := c.lru.Back().Value.(*entry)
+			c.lru.Remove(c.lru.Back())
+			delete(c.entries, oldest.key)
+			if m, ok := oldest.val.(*memo); ok && c.structs[m.structural] == m {
+				delete(c.structs, m.structural)
+			}
 			c.stats.Evictions++
 		}
 	}
@@ -174,39 +181,4 @@ func (c *Cache) Stats() Stats {
 	s.Entries = c.lru.Len()
 	s.InFlight = len(c.inflight)
 	return s
-}
-
-// Analyzer returns a state-space analysis entry point, suitable for
-// mapping.Options.Analyze, that memoizes results in c under their
-// canonical content key and threads ctx into the exploration so long
-// analyses are cancellable. A nil cache degrades to an uncached but still
-// cancellable analyzer. Analyses with an OnComplete trace hook bypass the
-// cache: their value is the side effects, which a memoized result cannot
-// replay.
-//
-// Cached results have MaxTokens stripped: canonical keys are invariant
-// under channel declaration reordering, so channel-ID-indexed data from
-// one graph cannot be replayed onto an equal-keyed graph that numbers its
-// channels differently.
-func Analyzer(c *Cache, ctx context.Context) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
-	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-		if c == nil || opt.OnComplete != nil {
-			opt.Interrupt = ctx.Done()
-			return statespace.Analyze(g, opt)
-		}
-		key := AnalysisKey(g, opt)
-		v, _, err := c.Do(ctx, key, func() (any, error) {
-			opt.Interrupt = ctx.Done()
-			r, err := statespace.Analyze(g, opt)
-			if err != nil {
-				return nil, err
-			}
-			r.MaxTokens = nil
-			return r, nil
-		})
-		if err != nil {
-			return statespace.Result{}, err
-		}
-		return v.(statespace.Result), nil
-	}
 }

@@ -3,14 +3,10 @@ package cache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mamps/internal/sdf"
-	"mamps/internal/statespace"
 )
 
 // TestSingleFlight is the acceptance test of the dedup guarantee: N
@@ -164,57 +160,5 @@ func TestPanicReleasesFollowers(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower deadlocked on panicked leader")
-	}
-}
-
-// chainGraph builds a simple pipeline with a state self-loop on the head.
-func chainGraph(execTimes ...int64) *sdf.Graph {
-	g := sdf.NewGraph("chain")
-	var prev *sdf.Actor
-	for i, et := range execTimes {
-		a := g.AddActor(fmt.Sprintf("a%d", i), et)
-		g.AddStateChannel(a)
-		if prev != nil {
-			ch := g.Connect(prev, a, 1, 1, 0)
-			ch.Name = fmt.Sprintf("c%d", i)
-			back := g.Connect(a, prev, 1, 1, 2)
-			back.Name = fmt.Sprintf("s%d", i)
-		}
-		prev = a
-	}
-	return g
-}
-
-func TestAnalyzerMemoizesAndCancels(t *testing.T) {
-	c := New(16)
-	g := chainGraph(3, 5, 2)
-	an := Analyzer(c, context.Background())
-
-	r1, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := an(g, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Throughput != r2.Throughput || r1.Throughput <= 0 {
-		t.Fatalf("throughputs differ or zero: %v vs %v", r1.Throughput, r2.Throughput)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
-	}
-
-	// A cancelled context aborts an uncached analysis.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	other := chainGraph(7, 7) // different key, so no cache rescue
-	if _, err := Analyzer(c, ctx)(other, statespace.Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	// A nil cache still works (uncached, cancellable).
-	if _, err := Analyzer(nil, context.Background())(other, statespace.Options{}); err != nil {
-		t.Fatalf("nil-cache analyzer: %v", err)
 	}
 }

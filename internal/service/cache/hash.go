@@ -1,4 +1,4 @@
-// Canonical content hashing for the analysis cache.
+// Canonical content hashing for the request and run-record keys.
 //
 // The cache is content-addressed: a key is the SHA-256 of a canonical
 // serialization of the model a result was computed from. Canonical means
@@ -9,9 +9,9 @@
 // endpoint/rate/token attribute tuples with their (often auto-generated,
 // order-dependent) names excluded.
 //
-// Consequence: two graphs with equal keys may still number their channels
-// differently, so cached results must not carry channel-ID-indexed data;
-// Analyzer strips statespace.Result.MaxTokens for this reason.
+// State-space analyses are keyed differently, in declaration order and
+// with names (see analysisKey), because their results carry
+// channel-ID-indexed data and name-bearing deadlock reports.
 package cache
 
 import (
@@ -26,7 +26,6 @@ import (
 	"mamps/internal/arch"
 	"mamps/internal/mapping"
 	"mamps/internal/sdf"
-	"mamps/internal/statespace"
 )
 
 // Hasher accumulates a canonical serialization and produces a cache key.
@@ -112,30 +111,6 @@ func (h *Hasher) Graph(g *sdf.Graph) *Hasher {
 	return h.Strings(lines)
 }
 
-// Schedules appends static-order schedules as actor-name sequences. The
-// order of schedules in the list is canonicalized (sorted); the order of
-// entries within a schedule is semantic and preserved. Tile labels only
-// affect report text and are excluded.
-func (h *Hasher) Schedules(g *sdf.Graph, scheds []statespace.Schedule) *Hasher {
-	h.String("schedules")
-	lines := make([]string, 0, len(scheds))
-	for _, s := range scheds {
-		var lh Hasher
-		lh.h = sha256.New()
-		lh.Int(int64(len(s.Prologue)))
-		for _, id := range s.Prologue {
-			lh.String(g.Actor(id).Name)
-		}
-		lh.Int(int64(len(s.Entries)))
-		for _, id := range s.Entries {
-			lh.String(g.Actor(id).Name)
-		}
-		lines = append(lines, lh.Sum())
-	}
-	sort.Strings(lines)
-	return h.Strings(lines)
-}
-
 // App appends an application model: its graph plus the per-actor
 // implementation metrics (function pointers are behaviour, not content,
 // and are excluded — the analyses never call them).
@@ -203,17 +178,6 @@ func (h *Hasher) sortedInt64Map(tag string, m map[string]int64) {
 
 // GraphKey returns the canonical content key of an SDF graph.
 func GraphKey(g *sdf.Graph) string { return NewHasher("mamps/graph/v1").Graph(g).Sum() }
-
-// AnalysisKey returns the content key of one state-space analysis: the
-// canonical graph, the schedules, and the reference actor. MaxStates is a
-// resource bound, not content (a successful result is identical for any
-// sufficient bound), and the Interrupt/OnComplete hooks are plumbing; all
-// three are excluded.
-func AnalysisKey(g *sdf.Graph, opt statespace.Options) string {
-	h := NewHasher("mamps/analysis/v1").Graph(g).Schedules(g, opt.Schedules)
-	h.String(g.Actor(opt.ReferenceActor).Name)
-	return h.Sum()
-}
 
 // MappingKey returns the content key of a full SDF3 mapping run over
 // (application, platform, options) — the triple the paper's flow feeds to

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mamps/internal/sdf"
-	"mamps/internal/statespace"
 )
 
 // graphSpec describes a graph independently of declaration order, so a
@@ -125,57 +124,5 @@ func TestChannelNamesExcluded(t *testing.T) {
 	}
 	if GraphKey(mk("first")) != GraphKey(mk("second")) {
 		t.Fatal("channel name influenced the graph key")
-	}
-}
-
-func TestAnalysisKeySchedules(t *testing.T) {
-	mk := func() *sdf.Graph {
-		g := sdf.NewGraph("g")
-		a := g.AddActor("A", 10)
-		b := g.AddActor("B", 20)
-		g.Connect(a, b, 1, 1, 0)
-		g.Connect(b, a, 1, 1, 1)
-		return g
-	}
-	g := mk()
-	aID := g.ActorByName("A").ID
-	bID := g.ActorByName("B").ID
-	s1 := statespace.Schedule{Tile: "t0", Entries: []sdf.ActorID{aID}}
-	s2 := statespace.Schedule{Tile: "t1", Entries: []sdf.ActorID{bID}}
-
-	k12 := AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{s1, s2}})
-	k21 := AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{s2, s1}})
-	if k12 != k21 {
-		t.Error("schedule list order influenced the analysis key")
-	}
-
-	// Entry order within one schedule is semantic: it is the static order.
-	both := statespace.Schedule{Tile: "t0", Entries: []sdf.ActorID{aID, bID}}
-	rev := statespace.Schedule{Tile: "t0", Entries: []sdf.ActorID{bID, aID}}
-	if AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{both}}) ==
-		AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{rev}}) {
-		t.Error("static-order reversal did not change the analysis key")
-	}
-
-	// Tile labels are presentation only.
-	relabel := statespace.Schedule{Tile: "other", Entries: []sdf.ActorID{aID}}
-	if AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{s1}}) !=
-		AnalysisKey(g, statespace.Options{Schedules: []statespace.Schedule{relabel}}) {
-		t.Error("tile label influenced the analysis key")
-	}
-
-	// Resource bounds and hooks are excluded.
-	if AnalysisKey(g, statespace.Options{}) != AnalysisKey(g, statespace.Options{MaxStates: 99}) {
-		t.Error("MaxStates influenced the analysis key")
-	}
-	// The reference actor is included (it defines what one iteration is).
-	if AnalysisKey(g, statespace.Options{ReferenceActor: aID}) ==
-		AnalysisKey(g, statespace.Options{ReferenceActor: bID}) {
-		t.Error("reference actor did not influence the analysis key")
-	}
-
-	// Domain separation: a graph key can never equal an analysis key.
-	if GraphKey(g) == AnalysisKey(g, statespace.Options{}) {
-		t.Error("graph and analysis domains collide")
 	}
 }

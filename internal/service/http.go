@@ -19,11 +19,9 @@ import (
 	"mamps/internal/modelio"
 	"mamps/internal/obs"
 	"mamps/internal/obs/diag"
-	"mamps/internal/sdf"
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Handler returns the service's HTTP surface.
@@ -308,22 +306,15 @@ func (s *Server) analyzeJob(ctx context.Context, req modelio.AnalyzeRequestJSON)
 	for _, a := range g.Actors() {
 		a.MaxConcurrent = 1
 	}
-	sopt := statespace.Options{Interrupt: ctx.Done(), Telemetry: s.explorer}
-	// Route the evaluations through the shared warm-start cache (nil
-	// degrades to cold analysis): repeated workloads differing only in
-	// WCETs reuse prior explorations, bit-identically.
-	var analyze warm.AnalyzeFunc
-	if s.warm != nil {
-		analyze = s.warm.Analyzer(statespace.Analyze)
-	}
-	thr, err := buffer.EvaluateWith(g, buffer.LowerBounds(g), analyze, sopt)
+	analyze := cache.Analyzer(s.cache, ctx, s.tel)
+	thr, err := buffer.EvaluateWith(g, buffer.LowerBounds(g), analyze, statespace.Options{})
 	if err != nil {
 		return nil, err
 	}
 	resp.Throughput = modelio.NewThroughputJSON(thr)
 
 	if req.TargetThroughput > 0 {
-		dist, got, err := buffer.Minimize(g, req.TargetThroughput, buffer.Options{Analysis: sopt, Analyze: analyze})
+		dist, got, err := buffer.Minimize(g, req.TargetThroughput, buffer.Options{Analyze: analyze})
 		if err != nil {
 			return nil, err
 		}
@@ -393,36 +384,23 @@ func (s *Server) flowJob(ctx context.Context, req modelio.FlowRequestJSON) (any,
 	cfg.MapOptions.UseCA = req.UseCA
 	cfg.Faults = req.Faults
 	cfg.TargetThroughput = req.TargetThroughput
+	// Unrecorded jobs publish into the process-wide counters and share the
+	// service cache's analyses. Recorded runs get a private telemetry set
+	// (trace + fresh counter groups) and analyze cold, so the stored
+	// Record's counters reflect exactly this run's deterministic work,
+	// independent of cache warmth, which is what the regression detector
+	// compares. Repeated identical requests still skip recomputation (and
+	// recording) at the job-level content cache.
+	cfg.Obs = s.tel
+	analyses := s.cache
 	rt := s.newRunTelemetry(ctx)
 	var graphKey string
 	if rt != nil {
-		// Recorded runs get a private telemetry set (trace + fresh counter
-		// groups) and analyze directly instead of through the shared cache:
-		// the stored Record's counters then reflect exactly this run's
-		// deterministic work, independent of cache warmth, which is what the
-		// regression detector compares. Repeated identical requests still
-		// skip recomputation (and recording) at the job-level content cache.
 		graphKey = cache.GraphKey(built.app.Graph)
 		cfg.Obs = rt.set
-		cfg.MapOptions.Analyze = flow.TelemetryAnalyzer(ctx, rt.set)
-	} else {
-		// The simulator publishes its counters into the service registry; no
-		// Trace, so span recording stays disabled on the service path.
-		cfg.Obs = &obs.Set{Sim: s.simStats}
-		// Route the binding-aware verifications through the shared cache, so
-		// distinct requests over the same model reuse each other's analyses,
-		// with the explorer counters threaded into every computed analysis.
-		analyze := cache.Analyzer(s.cache, ctx)
-		cfg.MapOptions.Analyze = func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-			opt.Telemetry = s.explorer
-			return analyze(g, opt)
-		}
-		// The shared warm-start cache layers on top (flow wraps it
-		// outermost): near-miss requests reuse prior explorations the
-		// exact-key cache cannot serve. Recorded runs stay cold so their
-		// counters are reproducible.
-		cfg.Warm = s.warm
+		analyses = nil
 	}
+	cfg.MapOptions.Analyze = cache.Analyzer(analyses, ctx, cfg.Obs)
 
 	if req.ArchXML != "" {
 		cfg.Platform, err = modelio.ReadArch([]byte(req.ArchXML))
@@ -515,7 +493,7 @@ func (s *Server) dseJob(ctx context.Context, req modelio.DSERequestJSON) (any, e
 		SolverNodeBudget: req.SolverNodeBudget,
 		Workers:          req.Workers,
 		Cache:            s.cache,
-		Obs:              &obs.Set{Explorer: s.explorer, Solver: s.solverStat},
+		Obs:              s.tel,
 	}
 	rt := s.newRunTelemetry(ctx)
 	var graphKey string

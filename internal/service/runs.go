@@ -88,9 +88,9 @@ func (s *Server) newRunTelemetry(ctx context.Context) *runTelemetry {
 
 // fold adds the run's counters into the process-wide registered groups.
 func (rt *runTelemetry) fold(s *Server) {
-	rt.set.Explorer.AddTo(s.explorer)
-	rt.set.Sim.AddTo(s.simStats)
-	rt.set.Solver.AddTo(s.solverStat)
+	rt.set.Explorer.AddTo(s.tel.Explorer)
+	rt.set.Sim.AddTo(s.tel.Sim)
+	rt.set.Solver.AddTo(s.tel.Solver)
 }
 
 // traceArtifact exports the run's trace as a Perfetto artifact, or nil

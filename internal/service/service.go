@@ -40,7 +40,6 @@ import (
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/statespace"
-	"mamps/internal/statespace/warm"
 )
 
 // Config configures a Server.
@@ -55,11 +54,6 @@ type Config struct {
 	// CacheCapacity bounds the analysis cache in entries (default
 	// cache.DefaultCapacity).
 	CacheCapacity int
-	// WarmCapacity bounds the warm-start cache of prior explorations
-	// shared by non-recorded jobs (default 256 entries; negative
-	// disables warm-start entirely). Recorded runs (RunLog set) always
-	// analyze cold so their counters stay reproducible.
-	WarmCapacity int
 	// Clock is the time source for latency measurement and flow step
 	// timing; nil selects the system monotonic clock.
 	Clock clock.Clock
@@ -209,14 +203,13 @@ type Server struct {
 	metrics *metrics
 	start   time.Time
 
-	log        *slog.Logger
-	reqIDs     obs.RequestIDs
-	obsReg     *obs.Registry
-	explorer   *obs.ExplorerStats
-	simStats   *obs.SimStats
-	solverStat *obs.SolverStats
-	warm       *warm.Cache // nil when disabled
-	runlog     *runlog.Registry
+	log    *slog.Logger
+	reqIDs obs.RequestIDs
+	obsReg *obs.Registry
+	// tel holds the process-wide registered counter groups (no trace)
+	// that unrecorded jobs publish into and recorded runs fold into.
+	tel    *obs.Set
+	runlog *runlog.Registry
 
 	slos          *slo.Board
 	sloLatency    *slo.Tracker
@@ -258,27 +251,23 @@ func New(cfg Config) *Server {
 	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:        cfg,
-		clk:        cfg.Clock,
-		cache:      cache.New(cfg.CacheCapacity),
-		metrics:    newMetrics(),
-		start:      cfg.Clock.Now(),
-		log:        logger,
-		obsReg:     reg,
-		explorer:   obs.NewExplorerStats(reg),
-		simStats:   obs.NewSimStats(reg),
-		solverStat: obs.NewSolverStats(reg),
-		runlog:     cfg.RunLog,
-		baseCtx:    ctx,
-		abort:      abort,
-		jobs:       make(chan *job, cfg.QueueDepth),
-	}
-	if cfg.WarmCapacity >= 0 {
-		wc := cfg.WarmCapacity
-		if wc == 0 {
-			wc = 256
-		}
-		s.warm = warm.New(wc, obs.NewWarmStats(reg))
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		cache:   cache.New(cfg.CacheCapacity),
+		metrics: newMetrics(),
+		start:   cfg.Clock.Now(),
+		log:     logger,
+		obsReg:  reg,
+		tel: &obs.Set{
+			Explorer: obs.NewExplorerStats(reg),
+			Sim:      obs.NewSimStats(reg),
+			Solver:   obs.NewSolverStats(reg),
+			Warm:     obs.NewWarmStats(reg),
+		},
+		runlog:  cfg.RunLog,
+		baseCtx: ctx,
+		abort:   abort,
+		jobs:    make(chan *job, cfg.QueueDepth),
 	}
 	if s.runlog != nil {
 		s.runlog.AttachMetrics(reg)

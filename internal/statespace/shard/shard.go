@@ -25,15 +25,6 @@ type Visit struct {
 	Completions int64
 }
 
-// Hint pre-sizes a segment from prior knowledge of an exploration's size.
-// Zero fields select the defaults (a few hundred states of KeyBytes each).
-type Hint struct {
-	// States is the expected number of distinct states.
-	States int
-	// KeyBytes is the typical packed-key length.
-	KeyBytes int
-}
-
 // Segment is one open-addressing hash segment over an append-only state
 // arena. It is not safe for concurrent use.
 type Segment struct {
@@ -73,18 +64,19 @@ var (
 	classMask atomic.Uint32
 )
 
-// Get returns an empty segment sized for the hint. It prefers a recycled
-// segment near the hinted size class — scanning larger classes first, then
-// smaller, because any recycled segment beats a cold allocation: a small
-// one grows, a large one simply has headroom.
-func Get(h Hint) *Segment {
-	if h.KeyBytes < 4 {
-		h.KeyBytes = 4
+// initStates is the state capacity of a cold-allocated segment.
+const initStates = 1 << 8
+
+// Get returns an empty segment for keys of about keyBytes each. It prefers
+// a recycled segment near the size class of initStates such keys —
+// scanning larger classes first, then smaller, because any recycled
+// segment beats a cold allocation: a small one grows, a large one simply
+// has headroom.
+func Get(keyBytes int) *Segment {
+	if keyBytes < 4 {
+		keyBytes = 4
 	}
-	if h.States <= 0 {
-		h.States = 1 << 8
-	}
-	want := classFor(h.States * h.KeyBytes)
+	want := classFor(initStates * keyBytes)
 	mask := classMask.Load()
 	for c := want; c < numClasses; c++ {
 		if mask&(1<<c) == 0 {
@@ -107,16 +99,13 @@ func Get(h Hint) *Segment {
 		}
 	}
 	s := &Segment{seed: maphash.MakeSeed()}
-	slots := 1 << 10
-	for slots*3 < h.States*4 {
-		slots *= 2
-	}
+	const slots = 1 << 10 // keeps initStates below the 3/4 load factor
 	s.slots = make([]int32, slots)
 	s.mask = uint64(slots - 1)
-	s.offs = make([]uint32, 1, h.States+1)
-	s.arena = make([]byte, 0, h.States*h.KeyBytes)
-	s.visits = make([]Visit, 0, h.States)
-	s.hashes = make([]uint64, 0, h.States)
+	s.offs = make([]uint32, 1, initStates+1)
+	s.arena = make([]byte, 0, initStates*keyBytes)
+	s.visits = make([]Visit, 0, initStates)
+	s.hashes = make([]uint64, 0, initStates)
 	return s
 }
 

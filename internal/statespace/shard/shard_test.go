@@ -14,7 +14,7 @@ func key(i int) []byte {
 }
 
 func TestLookupOrInsert(t *testing.T) {
-	s := Get(Hint{})
+	s := Get(0)
 	defer s.Release()
 	const n = 5000 // crosses several slot doublings and arena growths
 	for i := 0; i < n; i++ {
@@ -45,7 +45,7 @@ func TestLookupOrInsert(t *testing.T) {
 }
 
 func TestVariableLengthKeys(t *testing.T) {
-	s := Get(Hint{States: 16})
+	s := Get(0)
 	defer s.Release()
 	// A key that is a prefix of another must stay distinct.
 	long := []byte{1, 2, 3, 4, 5}
@@ -65,7 +65,7 @@ func TestVariableLengthKeys(t *testing.T) {
 }
 
 func TestResetAndReuse(t *testing.T) {
-	s := Get(Hint{States: 8, KeyBytes: 6})
+	s := Get(6)
 	for i := 0; i < 2000; i++ {
 		k := key(i)
 		s.LookupOrInsert(s.Hash(k), k, Visit{Time: int64(i)})
@@ -86,7 +86,7 @@ func TestResetAndReuse(t *testing.T) {
 	s.Release()
 
 	// A released segment comes back from the pool empty but still grown.
-	r := Get(Hint{States: 2000, KeyBytes: 6})
+	r := Get(6)
 	if r != s {
 		t.Skip("pool did not return the released segment (GC ran); nothing to assert")
 	}
@@ -112,25 +112,4 @@ func TestClassFor(t *testing.T) {
 	if c := classFor(1 << 30); c != numClasses-1 {
 		t.Errorf("classFor(1GiB) = %d, want top class %d", c, numClasses-1)
 	}
-}
-
-func TestGetHonorsHint(t *testing.T) {
-	// Get prefers any recycled segment over a cold allocation, so drain the
-	// pool (keeping every segment) until a cold-allocated one appears; that
-	// one must be sized for the hint: 100k states need ≥ 100k*4/3 slots,
-	// rounded to a power of two ⇒ ≥ 2^17.
-	var held []*Segment
-	defer func() {
-		for _, s := range held {
-			s.Release()
-		}
-	}()
-	for i := 0; i < 64; i++ {
-		s := Get(Hint{States: 100_000, KeyBytes: 8})
-		held = append(held, s)
-		if s.Slots() >= 1<<17 && cap(s.arena) >= 100_000*8 {
-			return
-		}
-	}
-	t.Errorf("no segment sized for the 100k-state hint after draining the pool")
 }

@@ -82,17 +82,6 @@ type Options struct {
 	// every publication behind a single pointer check, preserving the
 	// hot loop's allocation-free guarantee.
 	Telemetry *obs.ExplorerStats
-
-	// SizeHint pre-sizes the state store from prior knowledge (typically a
-	// warm-start cache's record of a structurally identical exploration),
-	// avoiding growth reallocations. It never changes the result.
-	SizeHint SizeHint
-}
-
-// SizeHint carries prior knowledge of an exploration's final size.
-type SizeHint struct {
-	// States is the expected number of distinct states.
-	States int
 }
 
 // telemetrySample is the state-count interval between progress
@@ -129,7 +118,8 @@ type Result struct {
 	MaxTokens []int64
 }
 
-const defaultMaxStates = 1 << 20
+// DefaultMaxStates is the state budget of an Options.MaxStates of zero.
+const DefaultMaxStates = 1 << 20
 
 // tileState is the runtime state of a scheduled tile.
 type tileState struct {
@@ -309,7 +299,7 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	}
 	maxStates := opt.MaxStates
 	if maxStates == 0 {
-		maxStates = defaultMaxStates
+		maxStates = DefaultMaxStates
 	}
 	ref := opt.ReferenceActor
 	if int(ref) >= g.NumActors() {
@@ -319,7 +309,7 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if err := e.setup(g, opt, ref); err != nil {
 		return Result{}, err
 	}
-	e.table = shard.Get(shard.Hint{States: opt.SizeHint.States, KeyBytes: e.keyHint()})
+	e.table = shard.Get(e.keyHint())
 	defer e.table.Release()
 
 	for states := 0; states < maxStates; states++ {
