@@ -363,6 +363,32 @@ func BenchmarkSimulateMJPEGIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateMJPEGNoCCA simulates the same iteration on the 5-tile
+// NoC platform with a communication assist on every tile, so the CA
+// serializer's queue, the NI stage it feeds and the NoC connections'
+// word FIFOs are all on the measured path.
+func BenchmarkSimulateMJPEGNoCCA(b *testing.B) {
+	cfg, iters := mjpegAppForBench(b)
+	p, err := arch.DefaultTemplate().Generate("p", 5, arch.NoC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, t := range p.Tiles {
+		t.HasCA = true
+	}
+	m, err := mapping.Map(cfg.App, p, mapping.Options{UseCA: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(m, sim.Options{Iterations: iters, RefActor: "Raster"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDSESweep compares the sequential and parallel design-space
 // sweep over the MJPEG application (FSL, 2..5 tiles); "par" uses the
 // default worker pool and should approach linear scaling on multi-core.

@@ -103,8 +103,14 @@ func ReadApp(data []byte) (*appmodel.App, error) {
 	if doc.Name == "" {
 		return nil, fmt.Errorf("modelio: application has no name")
 	}
+	// The sdf constructors panic on these violations (they are
+	// programming errors in Go-built models); a document gets an error
+	// naming the actor or channel instead.
 	g := sdf.NewGraph(doc.Name)
 	for _, a := range doc.Actors {
+		if g.ActorByName(a.Name) != nil {
+			return nil, fmt.Errorf("modelio: duplicate actor name %q", a.Name)
+		}
 		g.AddActor(a.Name, 0)
 	}
 	for _, c := range doc.Channels {
@@ -112,6 +118,12 @@ func ReadApp(data []byte) (*appmodel.App, error) {
 		dst := g.ActorByName(c.DstActor)
 		if src == nil || dst == nil {
 			return nil, fmt.Errorf("modelio: channel %q references unknown actor", c.Name)
+		}
+		if c.SrcRate <= 0 || c.DstRate <= 0 {
+			return nil, fmt.Errorf("modelio: channel %q has a non-positive rate (srcRate %d, dstRate %d)", c.Name, c.SrcRate, c.DstRate)
+		}
+		if c.InitialTokens < 0 {
+			return nil, fmt.Errorf("modelio: channel %q has negative initialTokens %d", c.Name, c.InitialTokens)
 		}
 		nc := g.Connect(src, dst, c.SrcRate, c.DstRate, c.InitialTokens)
 		nc.Name = c.Name

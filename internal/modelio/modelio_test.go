@@ -88,6 +88,31 @@ func TestReadAppErrors(t *testing.T) {
 	}
 }
 
+// TestReadAppRejectsMalformed: violations the sdf constructors would panic
+// on come back as errors naming the offending actor or channel.
+func TestReadAppRejectsMalformed(t *testing.T) {
+	data, err := WriteApp(sampleApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	for _, c := range []struct{ name, old, new, mention string }{
+		{"duplicate actor", `<actor name="b">`, `<actor name="a">`, `"a"`},
+		{"zero srcRate", `srcRate="2"`, `srcRate="0"`, `"a2b"`},
+		{"negative dstRate", `dstRate="2"`, `dstRate="-2"`, `"b2a"`},
+		{"negative initialTokens", `initialTokens="3"`, `initialTokens="-1"`, `"a2b"`},
+	} {
+		bad := strings.Replace(doc, c.old, c.new, 1)
+		if bad == doc {
+			t.Fatalf("%s: %s not in the sample model:\n%s", c.name, c.old, doc)
+		}
+		_, err := ReadApp([]byte(bad))
+		if err == nil || !strings.Contains(err.Error(), c.mention) {
+			t.Errorf("%s: err = %v, want an error naming %s", c.name, err, c.mention)
+		}
+	}
+}
+
 func TestArchRoundTrip(t *testing.T) {
 	for _, kind := range []arch.InterconnectKind{arch.FSL, arch.NoC} {
 		p, err := arch.DefaultTemplate().Generate("plat", 4, kind)

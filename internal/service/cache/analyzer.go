@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"hash"
 	"slices"
 	"sync"
@@ -108,8 +109,10 @@ func Analyzer(c *Cache, ctx context.Context, tel *obs.Set) func(*sdf.Graph, stat
 			return newMemo(structural, g, opt, r), nil
 		})
 		if err != nil {
-			if joined {
-				// The leader's cancellation or budget is not this caller's.
+			var pe *PanicError
+			if joined && !errors.As(err, &pe) {
+				// The leader's cancellation or budget is not this caller's;
+				// its panic would be.
 				miss(false)
 				return cold(g, opt)
 			}

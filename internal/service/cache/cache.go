@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -54,7 +55,8 @@ type call struct {
 // Errors are never cached: a failed computation is retried by the next
 // caller. If the goroutine computing a key is cancelled, followers waiting
 // on that key receive its error (typically statespace.ErrInterrupted) and
-// the next request recomputes.
+// the next request recomputes. A computation that panics fails the same
+// way, with a *PanicError.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -100,7 +102,8 @@ func (c *Cache) Get(key string) (any, bool) {
 // (a completed entry or a joined in-flight computation).
 //
 // fn runs on the leader's goroutine, so it should honour the leader's
-// context itself (e.g. via statespace.Options.Interrupt).
+// context itself (e.g. via statespace.Options.Interrupt). A panic in fn
+// does not propagate: the leader and its followers get a *PanicError.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, hit bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -130,16 +133,29 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 
 	defer func() {
 		if p := recover(); p != nil {
-			// Propagate the panic but first release the followers, or
-			// they would block forever on a key nobody is computing.
-			cl.err = fmt.Errorf("cache: computation for key %.16s… panicked: %v", key, p)
+			// Release the followers with the same error, or they would
+			// block forever on a key nobody is computing; nothing is
+			// stored, so the next Do recomputes.
+			cl.val, cl.err = nil, &PanicError{Key: key, Value: p, Stack: debug.Stack()}
 			c.finish(key, cl, false)
-			panic(p)
+			val, hit, err = nil, false, cl.err
 		}
 	}()
 	cl.val, cl.err = fn()
 	c.finish(key, cl, cl.err == nil)
 	return cl.val, false, cl.err
+}
+
+// PanicError is the error Do returns when its computation panicked. Value
+// is what fn panicked with, Stack the leader's stack at the panic.
+type PanicError struct {
+	Key   string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("cache: computation for key %.16s… panicked: %v", e.Key, e.Value)
 }
 
 // finish publishes a completed call and stores it on success.

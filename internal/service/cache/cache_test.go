@@ -136,29 +136,47 @@ func TestFollowerHonoursItsContext(t *testing.T) {
 	close(release)
 }
 
+// TestPanicReleasesFollowers: a panicking computation reaches neither the
+// leader's nor a joined follower's goroutine as a panic; both get a
+// *PanicError carrying the panic value, nothing is cached, and the next
+// Do on the key recomputes.
 func TestPanicReleasesFollowers(t *testing.T) {
 	c := New(4)
 	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
 	followerErr := make(chan error, 1)
 	go func() {
-		defer func() { recover() }()
-		c.Do(context.Background(), "k", func() (any, error) {
+		_, _, err := c.Do(context.Background(), "k", func() (any, error) {
 			close(leaderIn)
-			time.Sleep(10 * time.Millisecond)
+			// Panic only once the follower has joined this computation.
+			for c.Stats().Dedup == 0 {
+				time.Sleep(time.Millisecond)
+			}
 			panic("kaboom")
 		})
+		leaderErr <- err
 	}()
 	<-leaderIn
 	go func() {
 		_, _, err := c.Do(context.Background(), "k", func() (any, error) { return 1, nil })
 		followerErr <- err
 	}()
-	select {
-	case err := <-followerErr:
-		if err == nil {
-			t.Fatal("follower got nil error from panicked leader")
+	for name, ch := range map[string]chan error{"leader": leaderErr, "follower": followerErr} {
+		select {
+		case err := <-ch:
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+				t.Fatalf("%s err = %v, want a *PanicError for kaboom with a stack", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s deadlocked on the panicked computation", name)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("follower deadlocked on panicked leader")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.InFlight != 0 {
+		t.Fatalf("after the panic: %+v, want nothing cached or in flight", st)
+	}
+	v, hit, err := c.Do(context.Background(), "k", func() (any, error) { return 2, nil })
+	if err != nil || hit || v != 2 {
+		t.Fatalf("next Do = %v, hit %v, %v; want a recomputed 2", v, hit, err)
 	}
 }

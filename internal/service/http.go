@@ -141,8 +141,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError maps service and compute errors to status codes: a full
 // queue is 429 with Retry-After (the client should back off, not fail
 // over), drain is 503 with Retry-After (this instance is going away),
-// timeouts 504, deadlocks a structured 422 carrying the cycle and the
-// per-engine report, other infeasible or invalid models a plain 422.
+// timeouts 504, a job that panicked 500, deadlocks a structured 422
+// carrying the cycle and the per-engine report, other infeasible or
+// invalid models a plain 422.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	code := http.StatusUnprocessableEntity
 	body := modelio.ErrorJSON{Error: err.Error()}
@@ -170,6 +171,8 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		code = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		code = http.StatusServiceUnavailable
+	case errors.Is(err, errJobPanic):
+		code = http.StatusInternalServerError
 	}
 	s.writeJSON(w, code, body)
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -90,6 +91,87 @@ func TestJobPanicRecovery(t *testing.T) {
 	})
 	if err != nil || v != "ok" {
 		t.Fatalf("post-panic job = %v, %v", v, err)
+	}
+}
+
+// TestCachedJobPanicRecovery: every /v1/* job carries a cache key, so a
+// panic inside cache.Do must also come back as an error, be counted once
+// in mamps_panics_total, and leave the worker serving; the key is not
+// cached, so the next job on it recomputes.
+func TestCachedJobPanicRecovery(t *testing.T) {
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Shutdown(context.Background())
+	_, _, err := s.submit(context.Background(), "panicky", func(ctx context.Context) (any, error) {
+		panic("cached kaboom")
+	})
+	if !errors.Is(err, errJobPanic) || !strings.Contains(err.Error(), "cached kaboom") {
+		t.Fatalf("err = %v, want the cached job's panic as an error", err)
+	}
+	s.metrics.mu.Lock()
+	panics := s.metrics.panics
+	s.metrics.mu.Unlock()
+	if panics != 1 {
+		t.Errorf("panics counted = %d, want 1", panics)
+	}
+	v, hit, err := s.submit(context.Background(), "panicky", func(ctx context.Context) (any, error) {
+		return "ok", nil
+	})
+	if err != nil || hit || v != "ok" {
+		t.Fatalf("post-panic job = %v, hit %v, %v; want a recomputed ok", v, hit, err)
+	}
+}
+
+// TestMalformedModelRejected: one-attribute edits of the demo model that
+// the sdf constructors would panic on get a 4xx naming the offender on
+// every route that decodes an application, within 100 ms, and the server
+// keeps answering /healthz.
+func TestMalformedModelRejected(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 8, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc := demoAppXML(t)
+	for _, c := range []struct{ name, old, new, mention string }{
+		{"duplicate actor", `<actor name="B"`, `<actor name="A"`, `"A"`},
+		{"zero srcRate", `srcRate="2"`, `srcRate="0"`, `"a2b"`},
+		{"negative initialTokens", `initialTokens="0"`, `initialTokens="-1"`, `"a2b"`},
+	} {
+		bad := strings.Replace(doc, c.old, c.new, 1)
+		if bad == doc {
+			t.Fatalf("%s: %s not in the demo model:\n%s", c.name, c.old, doc)
+		}
+		for path, req := range map[string]any{
+			"/v1/analyze": modelio.AnalyzeRequestJSON{AppXML: bad},
+			"/v1/flow":    modelio.FlowRequestJSON{AppXML: bad, Tiles: 3},
+			"/v1/dse":     modelio.DSERequestJSON{AppXML: bad, MaxTiles: 2, Interconnects: []string{"fsl"}},
+		} {
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			resp, data := post(t, ts, path, string(body))
+			elapsed := time.Since(start)
+			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+				t.Errorf("%s %s: status %d, want 4xx (%s)", c.name, path, resp.StatusCode, data)
+			}
+			var e modelio.ErrorJSON
+			if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, c.mention) {
+				t.Errorf("%s %s: error does not name %s: %s", c.name, path, c.mention, data)
+			}
+			if elapsed > 100*time.Millisecond {
+				t.Errorf("%s %s: answered in %v, want within 100ms", c.name, path, elapsed)
+			}
+		}
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after malformed models: %d", hr.StatusCode)
 	}
 }
 

@@ -177,6 +177,9 @@ var (
 	ErrDraining = errors.New("service: draining, not accepting new jobs")
 	// ErrQueueFull rejects work when the bounded queue has no room.
 	ErrQueueFull = errors.New("service: job queue full")
+	// errJobPanic marks a job whose computation panicked: a server fault,
+	// answered with a 500.
+	errJobPanic = errors.New("service: job panic")
 )
 
 // job is one unit of work for the pool.
@@ -343,32 +346,47 @@ func (s *Server) worker() {
 			continue
 		}
 		s.busy.Add(1)
-		var res jobResult
-		if j.key == "" {
-			res.val, res.err = s.runSafe(j.ctx, j.run)
-		} else {
-			res.val, res.hit, res.err = s.cache.Do(j.ctx, j.key, func() (any, error) {
-				return j.run(j.ctx)
-			})
-		}
+		res := s.runJob(j)
 		s.busy.Add(-1)
 		s.metrics.observeJob()
 		j.result <- res
 	}
 }
 
-// runSafe executes an uncached job, converting a panic into an error so
-// one faulty job cannot take a worker — and with it the daemon — down.
-// (Cached jobs get the same protection from cache.Do.)
-func (s *Server) runSafe(ctx context.Context, run func(context.Context) (any, error)) (v any, err error) {
+// runJob executes one job, converting a panic into an error so one faulty
+// job cannot take a worker — and with it the daemon — down. A cached job
+// runs inside cache.Do, which already returns its panic as a
+// *cache.PanicError to the job and to every request that joined it; the
+// job that ran the computation counts and logs it once. The recover here
+// is the worker's last line of defence, for uncached jobs and for a panic
+// outside the cached computation.
+func (s *Server) runJob(j *job) (res jobResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.metrics.observePanic()
-			s.log.Error("job panic", "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-			err = fmt.Errorf("service: job panic: %v", p)
+			s.observeJobPanic(p, debug.Stack())
+			res = jobResult{err: fmt.Errorf("%w: %v", errJobPanic, p)}
 		}
 	}()
-	return run(ctx)
+	if j.key == "" {
+		res.val, res.err = j.run(j.ctx)
+		return res
+	}
+	res.val, res.hit, res.err = s.cache.Do(j.ctx, j.key, func() (any, error) {
+		return j.run(j.ctx)
+	})
+	var pe *cache.PanicError
+	if errors.As(res.err, &pe) {
+		if !res.hit {
+			s.observeJobPanic(pe.Value, pe.Stack)
+		}
+		res.err = fmt.Errorf("%w: %w", errJobPanic, res.err)
+	}
+	return res
+}
+
+func (s *Server) observeJobPanic(p any, stack []byte) {
+	s.metrics.observePanic()
+	s.log.Error("job panic", "panic", fmt.Sprint(p), "stack", string(stack))
 }
 
 // transient reports whether a job failure is worth retrying: injected

@@ -5,6 +5,58 @@ import (
 	"mamps/internal/sdf"
 )
 
+// ring is a fixed-capacity FIFO over storage allocated once, when the
+// simulation is built: the simulator's queues are bounded by the
+// platform (link depth, NI stage, buffer capacity), so the hot loop never
+// grows or re-slices them. Pushing onto a full ring is a simulator bug
+// and panics rather than overwriting a queued entry.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest entry
+	n    int // entries queued
+}
+
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) full() bool { return r.n == len(r.buf) }
+
+// at returns the i-th oldest entry.
+func (r *ring[T]) at(i int) T {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
+}
+
+func (r *ring[T]) push(v T) {
+	if r.full() {
+		panic("sim: push onto a full ring")
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = v
+	r.n++
+}
+
+// pop removes and returns the oldest entry, zeroing its slot so the ring
+// keeps no reference to a delivered token.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return v
+}
+
 // wordLink is the cycle-level model of one interconnect connection: a
 // word FIFO with head latency, injection rate limiting (SDM bandwidth) and
 // bounded capacity (FSL FIFO depth, or in-flight plus router buffering for
@@ -13,12 +65,11 @@ import (
 // network interface.
 type wordLink struct {
 	name          string
-	depth         int   // capacity in words
 	latency       int64 // cycles from injection to visibility
 	cyclesPerWord int64 // minimum spacing between injected words
 
 	lastInject int64
-	fifo       []wordEntry
+	fifo       ring[wordEntry] // capacity: the link depth in words
 
 	wordsCarried int64
 }
@@ -33,16 +84,16 @@ type wordEntry struct {
 func newWordLink(name string, depth int, latency, cyclesPerWord int64) *wordLink {
 	return &wordLink{
 		name:          name,
-		depth:         depth,
 		latency:       latency,
 		cyclesPerWord: cyclesPerWord,
 		lastInject:    -cyclesPerWord,
+		fifo:          newRing[wordEntry](depth),
 	}
 }
 
 // canInject reports whether a word can enter the link at cycle now.
 func (l *wordLink) canInject(now int64) bool {
-	return len(l.fifo) < l.depth && now >= l.lastInject+l.cyclesPerWord
+	return !l.fifo.full() && now >= l.lastInject+l.cyclesPerWord
 }
 
 // nextInjectTime returns the earliest cycle at or after now at which the
@@ -58,7 +109,7 @@ func (l *wordLink) nextInjectTime(now int64) int64 {
 // inject enters one word; tok must be attached to the last word of its
 // token burst.
 func (l *wordLink) inject(now int64, last bool, tok appmodel.Token) {
-	l.fifo = append(l.fifo, wordEntry{visible: now + l.latency, last: last, tok: tok})
+	l.fifo.push(wordEntry{visible: now + l.latency, last: last, tok: tok})
 	l.lastInject = now
 	l.wordsCarried++
 }
@@ -66,10 +117,7 @@ func (l *wordLink) inject(now int64, last bool, tok appmodel.Token) {
 // visibleWords counts words readable at cycle now.
 func (l *wordLink) visibleWords(now int64) int {
 	n := 0
-	for _, e := range l.fifo {
-		if e.visible > now {
-			break
-		}
+	for n < l.fifo.len() && l.fifo.at(n).visible <= now {
 		n++
 	}
 	return n
@@ -80,9 +128,7 @@ func (l *wordLink) visibleWords(now int64) int {
 func (l *wordLink) readWords(n int) appmodel.Token {
 	var tok appmodel.Token
 	for i := 0; i < n; i++ {
-		e := l.fifo[0]
-		l.fifo = l.fifo[1:]
-		if e.last {
+		if e := l.fifo.pop(); e.last {
 			tok = e.tok
 		}
 	}
@@ -92,9 +138,9 @@ func (l *wordLink) readWords(n int) appmodel.Token {
 // nextVisible returns the earliest future visibility time of any word not
 // yet visible at now, or -1.
 func (l *wordLink) nextVisible(now int64) int64 {
-	for _, e := range l.fifo {
-		if e.visible > now {
-			return e.visible
+	for i := 0; i < l.fifo.len(); i++ {
+		if v := l.fifo.at(i).visible; v > now {
+			return v
 		}
 	}
 	return -1
@@ -107,8 +153,10 @@ type chanState struct {
 	words     int // words per token
 
 	// dstQueue holds tokens available to the consumer (deserialized, or
-	// local). Its capacity is the channel's buffer allocation.
-	dstQueue []appmodel.Token
+	// local). Producers respect capacity, the channel's buffer allocation;
+	// the ring is sized to hold the initial tokens too, which may exceed
+	// it.
+	dstQueue ring[appmodel.Token]
 	capacity int
 
 	// link carries words for inter-tile channels (nil otherwise).
@@ -124,8 +172,9 @@ type chanState struct {
 	// stage is the sending network interface's output buffer: words the
 	// PE (or CA) has serialized but the connection has not yet accepted.
 	// It holds at most one token's words (the NI slot of the Figure 4
-	// model: s1 may run one token ahead of the network handoff).
-	stage []stagedWord
+	// model: s1 may run one token ahead of the network handoff), so the
+	// ring is sized to words.
+	stage ring[stagedWord]
 
 	tokensCarried int64
 }
@@ -137,7 +186,7 @@ type stagedWord struct {
 
 // stageSpace returns the free words in the NI send stage.
 func (cs *chanState) stageSpace() int {
-	return cs.words - len(cs.stage)
+	return cs.words - cs.stage.len()
 }
 
 // drain moves up to the remaining words of the current token from the
@@ -166,12 +215,12 @@ func (cs *chanState) drain(now int64) (moved int, complete bool) {
 // completeToken finishes the in-progress deserialization, delivering the
 // assembled token to the destination buffer.
 func (cs *chanState) completeToken() {
-	cs.dstQueue = append(cs.dstQueue, cs.pending)
+	cs.dstQueue.push(cs.pending)
 	cs.pending = nil
 	cs.assembled = 0
 	cs.tokensCarried++
 }
 
 func (cs *chanState) dstSpace() int {
-	return cs.capacity - len(cs.dstQueue)
+	return cs.capacity - cs.dstQueue.len()
 }

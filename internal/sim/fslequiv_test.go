@@ -25,7 +25,7 @@ func TestWordLinkMatchesFSLModel(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			now += int64(r.Intn(3))
 			if r.Intn(2) == 0 {
-				canSim := len(link.fifo) < link.depth
+				canSim := !link.fifo.full()
 				canRef := ref.CanWrite(now)
 				if canSim != canRef {
 					t.Fatalf("trial %d: write availability differs at %d (sim %v, fsl %v)", trial, now, canSim, canRef)

@@ -1,7 +1,10 @@
-// Golden kernel-equivalence tests: the results below were produced by the
-// original step-everything fixpoint simulator core (before the event-queue
-// rewrite) and must stay bit-identical — the wake lists and heap change
-// how the simulator finds work, never what the platform does.
+// Golden kernel-equivalence tests: the PE-serialized results below were
+// produced by the original step-everything fixpoint simulator core (before
+// the event-queue rewrite), the CA cases and the event-loop counters by the
+// event-queue core before its ready set became a bitset and its queues ring
+// buffers. They must stay bit-identical — the wake lists, heap, ready set
+// and queue storage change how the simulator finds and holds work, never
+// what the platform does or the order in which its procs are stepped.
 package sim_test
 
 import (
@@ -13,6 +16,7 @@ import (
 	"mamps/internal/arch"
 	"mamps/internal/mapping"
 	"mamps/internal/mjpeg"
+	"mamps/internal/obs"
 	"mamps/internal/sdf"
 	"mamps/internal/sim"
 	"mamps/internal/wcet"
@@ -20,6 +24,7 @@ import (
 
 type simGolden struct {
 	ic            arch.InterconnectKind
+	ca            bool
 	cycles        int64
 	throughput    float64
 	latency       int64
@@ -27,6 +32,10 @@ type simGolden struct {
 	channelWords  map[string]int64
 	channelTokens map[string]int64
 	tileBusy      map[string]int64
+
+	// Event-loop counters (obs.SimStats): they pin the order in which
+	// procs are stepped, not just the platform's behaviour.
+	steps, rounds, maxWakeHeap int64
 }
 
 var simGoldens = []simGolden{
@@ -37,6 +46,7 @@ var simGoldens = []simGolden{
 		channelTokens: map[string]int64{"cc2raster": 8, "idct2cc": 161, "iqzz2idct": 166, "rasterState": 8,
 			"subHeader1": 15, "subHeader2": 15, "vld2iqzz": 172, "vldState": 9},
 		tileBusy: map[string]int64{"tile0": 29718, "tile1": 87488, "tile2": 50650, "tile3": 29016},
+		steps:    76829, rounds: 52635, maxWakeHeap: 10,
 	},
 	{
 		ic: arch.NoC, cycles: 92806, throughput: 9.041591320072333e-05, latency: 15358,
@@ -45,6 +55,25 @@ var simGoldens = []simGolden{
 		channelTokens: map[string]int64{"cc2raster": 8, "idct2cc": 160, "iqzz2idct": 85, "rasterState": 8,
 			"subHeader1": 15, "subHeader2": 15, "vld2iqzz": 174, "vldState": 9},
 		tileBusy: map[string]int64{"tile0": 29806, "tile1": 91060, "tile2": 29016},
+		steps:    39081, rounds: 21465, maxWakeHeap: 8,
+	},
+	{
+		ic: arch.FSL, ca: true, cycles: 55998, throughput: 0.00015566625155666251, latency: 11030,
+		completions:  []int64{11030, 17454, 23878, 30302, 36726, 43150, 49574, 55998},
+		channelWords: map[string]int64{"idct2cc": 2706, "iqzz2idct": 6712, "subHeader1": 57, "subHeader2": 57, "vld2iqzz": 4802},
+		channelTokens: map[string]int64{"cc2raster": 8, "idct2cc": 164, "iqzz2idct": 207, "rasterState": 8,
+			"subHeader1": 25, "subHeader2": 25, "vld2iqzz": 291, "vldState": 17},
+		tileBusy: map[string]int64{"tile0": 31452, "tile1": 54584, "tile2": 22502, "tile3": 17104},
+		steps:    78932, rounds: 34720, maxWakeHeap: 16,
+	},
+	{
+		ic: arch.NoC, ca: true, cycles: 70304, throughput: 0.00012224938875305622, latency: 13044,
+		completions:  []int64{13044, 21224, 29404, 37584, 45764, 53944, 62124, 70304},
+		channelWords: map[string]int64{"idct2cc": 2650, "subHeader1": 45, "subHeader2": 45, "vld2iqzz": 3633},
+		channelTokens: map[string]int64{"cc2raster": 8, "idct2cc": 161, "iqzz2idct": 90, "rasterState": 8,
+			"subHeader1": 22, "subHeader2": 22, "vld2iqzz": 221, "vldState": 13},
+		tileBusy: map[string]int64{"tile0": 25854, "tile1": 69324, "tile2": 17104},
+		steps:    41429, rounds: 26726, maxWakeHeap: 14,
 	},
 }
 
@@ -61,18 +90,31 @@ func TestGoldenSimMJPEG(t *testing.T) {
 	iters := si.MCUsPerFrame() * si.Frames
 
 	for _, want := range simGoldens {
-		t.Run(want.ic.String(), func(t *testing.T) {
+		name := want.ic.String()
+		if want.ca {
+			name += "+ca"
+		}
+		t.Run(name, func(t *testing.T) {
 			p, err := arch.DefaultTemplate().Generate("p", 5, want.ic)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := mapping.Map(app, p, mapping.Options{})
+			if want.ca {
+				for _, tile := range p.Tiles {
+					tile.HasCA = true
+				}
+			}
+			m, err := mapping.Map(app, p, mapping.Options{UseCA: want.ca})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := sim.Run(m, sim.Options{Iterations: iters, RefActor: "Raster"})
+			tel := obs.NewSimStats(nil)
+			r, err := sim.Run(m, sim.Options{Iterations: iters, RefActor: "Raster", Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := [3]int64{tel.Steps.Value(), tel.Rounds.Value(), tel.MaxWakeHeap.Value()}; got != [3]int64{want.steps, want.rounds, want.maxWakeHeap} {
+				t.Errorf("steps, rounds, max wake heap = %v, want [%d %d %d]", got, want.steps, want.rounds, want.maxWakeHeap)
 			}
 			if r.Cycles != want.cycles {
 				t.Errorf("Cycles = %d, want %d", r.Cycles, want.cycles)

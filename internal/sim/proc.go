@@ -76,11 +76,11 @@ func (p *tileProc) blockedOn() string {
 		for ip := p.inPort; ip < len(a.In()); ip++ {
 			cs := p.sim.channels[a.In()[ip]]
 			rate := cs.c.DstRate
-			if len(cs.dstQueue) >= rate {
+			if cs.dstQueue.len() >= rate {
 				continue
 			}
 			if !cs.interTile || p.sim.params[cs.c.ID].DstOnCA {
-				return fmt.Sprintf("tokens on %s (%d/%d)", cs.c.Name, len(cs.dstQueue), rate)
+				return fmt.Sprintf("tokens on %s (%d/%d)", cs.c.Name, cs.dstQueue.len(), rate)
 			}
 			if cs.assembled == cs.words {
 				return ""
@@ -103,7 +103,7 @@ func (p *tileProc) blockedOn() string {
 			pr := p.sim.params[cid]
 			if pr.SrcOnCA {
 				if op == p.outPort && p.tokenIdx < len(p.outTokens[op]) &&
-					len(p.sim.caSer[cid].queue) >= p.sim.caSer[cid].capacity {
+					p.sim.caSer[cid].queue.full() {
 					return fmt.Sprintf("CA queue of %s", cs.c.Name)
 				}
 				continue
@@ -154,7 +154,7 @@ func (p *tileProc) stepAcquire(now int64, a *sdf.Actor) (bool, error) {
 	for ; p.inPort < len(a.In()); p.inPort++ {
 		cs := p.sim.channels[a.In()[p.inPort]]
 		rate := cs.c.DstRate
-		if len(cs.dstQueue) >= rate {
+		if cs.dstQueue.len() >= rate {
 			continue
 		}
 		if !cs.interTile || p.sim.params[cs.c.ID].DstOnCA {
@@ -185,12 +185,23 @@ func (p *tileProc) stepAcquire(now int64, a *sdf.Actor) (bool, error) {
 			return false, nil
 		}
 	}
+	// The firing's inputs are fresh slices every time (an implementation
+	// may keep them), carved from one backing array; the capped capacity
+	// keeps an append on one port from spilling into the next.
+	total := 0
+	for _, cid := range a.In() {
+		total += p.sim.channels[cid].c.DstRate
+	}
+	backing := make([]appmodel.Token, total)
 	p.inTokens = make([][]appmodel.Token, len(a.In()))
 	for i, cid := range a.In() {
 		cs := p.sim.channels[cid]
-		rate := cs.c.DstRate
-		p.inTokens[i] = append([]appmodel.Token(nil), cs.dstQueue[:rate]...)
-		cs.dstQueue = cs.dstQueue[rate:]
+		toks := backing[:cs.c.DstRate:cs.c.DstRate]
+		backing = backing[cs.c.DstRate:]
+		for k := range toks {
+			toks[k] = cs.dstQueue.pop()
+		}
+		p.inTokens[i] = toks
 		p.sim.onDstConsume(cid)
 	}
 	p.phase = phaseExec
@@ -246,7 +257,9 @@ func (p *tileProc) stepProduce(now int64, a *sdf.Actor) (bool, error) {
 				a.Name, len(p.outTokens[i]), cs.c.Name, cs.c.SrcRate)
 		}
 		if !cs.interTile {
-			cs.dstQueue = append(cs.dstQueue, p.outTokens[i]...)
+			for _, tok := range p.outTokens[i] {
+				cs.dstQueue.push(tok)
+			}
 			cs.tokensCarried += int64(len(p.outTokens[i]))
 			p.sim.onDstAppend(cid)
 		}
@@ -280,10 +293,10 @@ func (p *tileProc) stepSerialize(now int64, a *sdf.Actor) (bool, error) {
 			// buffer).
 			ca := p.sim.caSer[cid]
 			for ; p.tokenIdx < len(toks); p.tokenIdx++ {
-				if len(ca.queue) >= ca.capacity {
+				if ca.queue.full() {
 					return false, nil
 				}
-				ca.queue = append(ca.queue, toks[p.tokenIdx])
+				ca.queue.push(toks[p.tokenIdx])
 				p.sim.onCAQueueAppend(cid)
 			}
 			p.tokenIdx = 0
@@ -316,7 +329,7 @@ func (p *tileProc) stepSerialize(now int64, a *sdf.Actor) (bool, error) {
 			if last {
 				tok = toks[p.tokenIdx]
 			}
-			cs.stage = append(cs.stage, stagedWord{last: last, tok: tok})
+			cs.stage.push(stagedWord{last: last, tok: tok})
 			p.sim.onStageAppend(cid)
 			p.words--
 			p.wordCharged = false
@@ -405,10 +418,10 @@ func (p *niSendProc) wakeTime() int64 { return p.wake }
 
 func (p *niSendProc) blockedOn() string {
 	cs := p.sim.channels[p.cid]
-	if len(cs.stage) == 0 {
+	if cs.stage.len() == 0 {
 		return "idle"
 	}
-	if len(cs.link.fifo) >= cs.link.depth {
+	if cs.link.fifo.full() {
 		return "full link"
 	}
 	return ""
@@ -416,10 +429,10 @@ func (p *niSendProc) blockedOn() string {
 
 func (p *niSendProc) step(now int64) (bool, error) {
 	cs := p.sim.channels[p.cid]
-	if len(cs.stage) == 0 {
+	if cs.stage.len() == 0 {
 		return false, nil
 	}
-	if len(cs.link.fifo) >= cs.link.depth {
+	if cs.link.fifo.full() {
 		return false, nil
 	}
 	if t := cs.link.nextInjectTime(now); t > now {
@@ -446,8 +459,7 @@ func (p *niSendProc) step(now int64) (bool, error) {
 			return false, nil
 		}
 	}
-	w := cs.stage[0]
-	cs.stage = cs.stage[1:]
+	w := cs.stage.pop()
 	cs.link.inject(now, w.last, w.tok)
 	p.sim.onStagePop(p.cid)
 	p.sim.onInject(p.cid, now+cs.link.latency)
@@ -458,12 +470,11 @@ func (p *niSendProc) step(now int64) (bool, error) {
 // channel: it drains the source buffer, serializes tokens with the CA's
 // timing and injects the words, concurrently with the PE.
 type caSerProc struct {
-	sim      *Simulation
-	id       int32
-	cid      sdf.ChannelID
-	cname    string
-	queue    []appmodel.Token
-	capacity int
+	sim   *Simulation
+	id    int32
+	cid   sdf.ChannelID
+	cname string
+	queue ring[appmodel.Token] // sized to the source buffer
 
 	wake        int64
 	words       int // words left to inject (-1: need to serialize next token)
@@ -475,7 +486,7 @@ func (p *caSerProc) wakeTime() int64 { return p.wake }
 
 func (p *caSerProc) blockedOn() string {
 	cs := p.sim.channels[p.cid]
-	if p.words < 0 && len(p.queue) == 0 {
+	if p.words < 0 && p.queue.len() == 0 {
 		return "idle"
 	}
 	if p.words >= 0 && p.wordCharged && cs.stageSpace() < 1 {
@@ -488,7 +499,7 @@ func (p *caSerProc) step(now int64) (bool, error) {
 	cs := p.sim.channels[p.cid]
 	pr := p.sim.params[p.cid]
 	if p.words < 0 {
-		if len(p.queue) == 0 {
+		if p.queue.len() == 0 {
 			return false, nil
 		}
 		p.wake = now + pr.SerFixed
@@ -509,14 +520,14 @@ func (p *caSerProc) step(now int64) (bool, error) {
 	last := p.words == 1
 	var tok appmodel.Token
 	if last {
-		tok = p.queue[0]
+		tok = p.queue.at(0)
 	}
-	cs.stage = append(cs.stage, stagedWord{last: last, tok: tok})
+	cs.stage.push(stagedWord{last: last, tok: tok})
 	p.sim.onStageAppend(p.cid)
 	p.words--
 	p.wordCharged = false
 	if p.words == 0 {
-		p.queue = p.queue[1:]
+		p.queue.pop()
 		cs.tokensCarried++
 		p.words = -1
 		p.sim.onCAQueuePop(p.cid)

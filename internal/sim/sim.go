@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"mamps/internal/appmodel"
@@ -119,20 +120,20 @@ type Simulation struct {
 	opt      Options
 	graph    *sdf.Graph
 	impls    []*appmodel.Impl
-	params   map[sdf.ChannelID]comm.Params
+	params   []comm.Params // per channel; zero for intra-tile channels
 	channels []*chanState
 	procs    []proc
-	caSer    map[sdf.ChannelID]*caSerProc
+	caSer    []*caSerProc // per channel; nil without a CA serializer
 	refActor sdf.ActorID
 
-	// Event-queue scheduling state. flags marks procs that must be
+	// Event-queue scheduling state. ready marks procs that must be
 	// re-stepped at the current instant (their inputs changed, or their
 	// wake time arrived); wakes is a min-heap of future wake times. The
 	// per-channel index tables name the procs to flag when a channel
 	// resource changes (-1: no such proc); they are the static wake lists
 	// that replace the step-everything fixpoint.
 	now       int64
-	flags     []bool
+	ready     bitset
 	wakes     wakeHeap
 	chDstTile []int32 // consumer tile proc per channel
 	chSrcTile []int32 // producer tile proc per channel
@@ -201,9 +202,37 @@ func (h *wakeHeap) pop() wakeEntry {
 	return top
 }
 
+// bitset is the ready set: bit i marks proc i. A fixpoint pass walks it in
+// index order with next, so its cost follows the number of flagged procs,
+// not the number of procs.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int32)   { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int32) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// next returns the lowest set index at or above i, or -1. It re-reads the
+// words, so a bit set above the walk's position during a pass is still
+// found by that pass.
+func (b bitset) next(i int32) int32 {
+	w := int(i >> 6)
+	if w >= len(b) {
+		return -1
+	}
+	word := b[w] &^ (1<<(uint(i)&63) - 1)
+	for word == 0 {
+		if w++; w == len(b) {
+			return -1
+		}
+		word = b[w]
+	}
+	return int32(w<<6 | bits.TrailingZeros64(word))
+}
+
 // pushWake schedules proc p to be re-stepped at cycle t. Times at or
-// before the current instant need no heap entry: the proc's flag keeps it
-// in the current instant's passes.
+// before the current instant need no heap entry: the proc's ready bit
+// keeps it in the current instant's passes.
 func (s *Simulation) pushWake(p int32, t int64) {
 	if t > s.now {
 		s.wakes.push(wakeEntry{at: t, p: p})
@@ -213,7 +242,7 @@ func (s *Simulation) pushWake(p int32, t int64) {
 // flag marks a proc for re-stepping at the current instant.
 func (s *Simulation) flag(p int32) {
 	if p >= 0 {
-		s.flags[p] = true
+		s.ready.set(p)
 	}
 }
 
@@ -260,14 +289,14 @@ func (s *Simulation) onInject(cid sdf.ChannelID, t int64) {
 	if p := s.chNIRecv[cid]; p >= 0 {
 		s.pushWake(p, t)
 		if t <= s.now {
-			s.flags[p] = true
+			s.ready.set(p)
 		}
 		return
 	}
 	if p := s.chCADeser[cid]; p >= 0 {
 		s.pushWake(p, t)
 		if t <= s.now {
-			s.flags[p] = true
+			s.ready.set(p)
 		}
 	}
 }
@@ -294,9 +323,9 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 		m:       m,
 		opt:     opt,
 		graph:   g,
-		params:  m.CommParams,
+		params:  make([]comm.Params, g.NumChannels()),
 		profile: wcet.NewProfile(),
-		caSer:   make(map[sdf.ChannelID]*caSerProc),
+		caSer:   make([]*caSerProc, g.NumChannels()),
 	}
 	if opt.Scenario == "" {
 		s.opt.Scenario = "sim"
@@ -341,12 +370,15 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 		if cs.capacity < c.DstRate {
 			cs.capacity = c.DstRate
 		}
+		cs.dstQueue = newRing[appmodel.Token](max(cs.capacity, c.InitialTokens))
 		if cs.interTile {
 			p, ok := m.CommParams[c.ID]
 			if !ok {
 				return nil, fmt.Errorf("sim: inter-tile channel %q has no communication parameters", c.Name)
 			}
+			s.params[c.ID] = p
 			cs.link = newWordLink(c.Name, p.InFlight+p.NetBuffer, p.Latency, p.CyclesPerWord)
+			cs.stage = newRing[stagedWord](cs.words)
 		}
 		s.channels[c.ID] = cs
 	}
@@ -371,7 +403,7 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 				if vals != nil && pi < len(vals) && k < len(vals[pi]) {
 					tok = vals[pi][k]
 				}
-				s.channels[cid].dstQueue = append(s.channels[cid].dstQueue, tok)
+				s.channels[cid].dstQueue.push(tok)
 			}
 		}
 	}
@@ -424,11 +456,11 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 		if !cs.interTile {
 			continue
 		}
-		p := m.CommParams[c.ID]
+		p := s.params[c.ID]
 		s.chNISend[c.ID] = int32(len(s.procs))
 		s.procs = append(s.procs, &niSendProc{sim: s, id: int32(len(s.procs)), cid: c.ID, cname: c.Name, stalledWord: -1})
 		if p.SrcOnCA {
-			ser := &caSerProc{sim: s, id: int32(len(s.procs)), cid: c.ID, cname: c.Name, capacity: max(1, p.SrcBuffer), words: -1}
+			ser := &caSerProc{sim: s, id: int32(len(s.procs)), cid: c.ID, cname: c.Name, queue: newRing[appmodel.Token](max(1, p.SrcBuffer)), words: -1}
 			s.caSer[c.ID] = ser
 			s.chCASer[c.ID] = ser.id
 			s.procs = append(s.procs, ser)
@@ -442,9 +474,9 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 		}
 	}
 	// Every proc is due for a first step at cycle zero.
-	s.flags = make([]bool, len(s.procs))
-	for i := range s.flags {
-		s.flags[i] = true
+	s.ready = newBitset(len(s.procs))
+	for i := range s.procs {
+		s.ready.set(int32(i))
 	}
 	if opt.Faults != nil {
 		s.firingSeq = make([]int64, g.NumActors())
@@ -462,13 +494,17 @@ func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 
 // Run executes the simulation to completion.
 //
-// The loop is event-driven: at every instant only the procs whose flag is
+// The loop is event-driven: at every instant only the procs in the ready
 // set are stepped, in proc-index order, repeating until a pass makes no
-// progress. A proc that reports no progress is blocked on a resource and
-// has its flag cleared; the wake-list events raised by the other procs'
-// steps set it again exactly when that resource changes. Time then jumps
-// to the earliest entry of the wake heap — the next timed completion or
-// word arrival — instead of rescanning every proc and link.
+// progress. A proc flagged during a pass is stepped in that pass if its
+// index lies ahead of the walk, in the next pass otherwise. A proc that
+// reports no progress is blocked on a resource and leaves the ready set;
+// the wake-list events raised by the other procs' steps put it back
+// exactly when that resource changes. A proc busy until a later cycle
+// leaves it too: every step that sets a future wake time also pushes that
+// time onto the wake heap, which puts the proc back at that instant. Time
+// then jumps to the earliest entry of the wake heap — the next timed
+// completion or word arrival — instead of rescanning every proc and link.
 func (s *Simulation) Run() (*Result, error) {
 	var t simTally
 	res, err := s.runLoop(&t)
@@ -515,12 +551,14 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 			default:
 			}
 		}
-		// Run every flagged proc to a fixpoint at the current time.
+		// Run every ready proc to a fixpoint at the current time.
 		for {
 			t.rounds++
 			progressed := false
-			for i, p := range s.procs {
-				if !s.flags[i] || p.wakeTime() > now {
+			for i := s.ready.next(0); i >= 0; i = s.ready.next(i + 1) {
+				p := s.procs[i]
+				if p.wakeTime() > now {
+					s.ready.clear(i)
 					continue
 				}
 				t.steps++
@@ -531,7 +569,7 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 				if moved {
 					progressed = true
 				} else {
-					s.flags[i] = false
+					s.ready.clear(i)
 				}
 				if len(s.completions) >= target {
 					break
@@ -558,7 +596,7 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 		now = next
 		s.now = now
 		for len(s.wakes) > 0 && s.wakes[0].at == now {
-			s.flags[s.wakes.pop().p] = true
+			s.ready.set(s.wakes.pop().p)
 		}
 	}
 
