@@ -243,12 +243,8 @@ func BenchmarkStateSpaceStates(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeWarmStart measures the analysis memo's tiers against
-// cold analysis on the MJPEG mapped graph: an exact repeat, and a genuine
-// scaled hit on every iteration. The scaled loop cycles through 16
-// uniformly scaled WCET variants built up front; the memo holds 8 entries,
-// so each variant's own entry is evicted before it recurs, and each
-// request is answered by scaling the previous variant.
+// BenchmarkAnalyzeWarmStart measures the analysis memo's exact hit
+// against cold analysis on the MJPEG mapped graph.
 func BenchmarkAnalyzeWarmStart(b *testing.B) {
 	cfg, _ := mjpegAppForBench(b)
 	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)
@@ -261,43 +257,25 @@ func BenchmarkAnalyzeWarmStart(b *testing.B) {
 	}
 	g := m.Expanded.Graph
 	sopt := statespace.Options{Schedules: m.ExpandedSchedules, MaxStates: 1 << 22}
-	run := func(b *testing.B, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), graphs ...*sdf.Graph) {
+	run := func(b *testing.B, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error)) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := analyze(graphs[i%len(graphs)], sopt); err != nil {
+			if _, err := analyze(g, sopt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	warmed := func(b *testing.B) (func(*sdf.Graph, statespace.Options) (statespace.Result, error), *obs.WarmStats) {
+	b.Run("cold", func(b *testing.B) { run(b, statespace.Analyze) })
+	b.Run("exact", func(b *testing.B) {
 		stats := obs.NewWarmStats(nil)
 		an := cache.Analyzer(cache.New(8), context.Background(), &obs.Set{Warm: stats})
 		if _, err := an(g, sopt); err != nil {
 			b.Fatal(err)
 		}
-		return an, stats
-	}
-	b.Run("cold", func(b *testing.B) { run(b, statespace.Analyze, g) })
-	b.Run("exact", func(b *testing.B) {
-		an, stats := warmed(b)
-		run(b, an, g)
+		run(b, an)
 		if stats.Exact.Value() != int64(b.N) {
 			b.Fatalf("%d exact hits in %d iterations", stats.Exact.Value(), b.N)
-		}
-	})
-	b.Run("scaled", func(b *testing.B) {
-		variants := make([]*sdf.Graph, 16)
-		for k := range variants {
-			variants[k] = g.Clone()
-			for _, a := range variants[k].Actors() {
-				a.ExecTime *= int64(k + 2)
-			}
-		}
-		an, stats := warmed(b)
-		run(b, an, variants...)
-		if stats.Scaled.Value() != int64(b.N) {
-			b.Fatalf("%d scaled hits in %d iterations", stats.Scaled.Value(), b.N)
 		}
 	})
 }

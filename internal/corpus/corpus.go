@@ -299,9 +299,9 @@ func solverEntry(name string) Entry {
 }
 
 // warmEntry replays a fixed request sequence through a private analysis
-// memo and pins its reuse decisions: a cold miss, an exact repeat, a
-// uniformly scaled variant, a single-WCET delta (a miss) and a refused
-// deadlock scaling (a bailout, also a miss). Every warm result is compared bit for bit
+// memo and pins its reuse decisions: a cold miss, an exact repeat, and
+// three misses (a uniformly scaled variant, a single-WCET delta and a
+// rescaled deadlock). Every warm result is compared bit for bit
 // against a cold analysis of the same request — a divergence is unsound
 // reuse and fails the entry outright (an explicit error, not just counter
 // drift), while a silently changed reuse decision shows up as warm-counter
@@ -333,10 +333,10 @@ func warmEntry(name string) Entry {
 		requests := []func() (*sdf.Graph, statespace.Options){
 			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // cold miss
 			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 2, 4) },  // exact hit
-			func() (*sdf.Graph, statespace.Options) { return build(9, 15, 6, 4) }, // scaled hit (×3)
+			func() (*sdf.Graph, statespace.Options) { return build(9, 15, 6, 4) }, // miss (uniform ×3 rescale)
 			func() (*sdf.Graph, statespace.Options) { return build(3, 5, 7, 4) },  // miss (unrelated WCETs)
 			func() (*sdf.Graph, statespace.Options) { return deadlock(1) },        // cold deadlock
-			func() (*sdf.Graph, statespace.Options) { return deadlock(2) },        // refused scaling -> bailout
+			func() (*sdf.Graph, statespace.Options) { return deadlock(2) },        // miss (rescaled deadlock)
 		}
 		var bound float64
 		for i, req := range requests {

@@ -33,7 +33,6 @@ import (
 	"mamps/internal/platgen"
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
-	"mamps/internal/trace"
 	"mamps/internal/wcet"
 )
 
@@ -86,9 +85,9 @@ type Config struct {
 	// Obs, if non-nil, records the run into the unified telemetry layer:
 	// one wall-clock span per flow stage on the "flow" track, one span
 	// per state-space analysis on the "statespace" track (with states
-	// and throughput attributes), the simulator's Gantt lanes bridged
-	// onto cycle-domain tracks (including still-open firings closed at
-	// the final simulated time), and the kernel counter groups. Nil
+	// and throughput attributes), the simulator's actor and channel
+	// lanes on cycle-domain tracks (including still-open firings closed
+	// at the final simulated time), and the kernel counter groups. Nil
 	// disables all of it at no cost.
 	Obs *obs.Set
 }
@@ -252,15 +251,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return res, nil
 	}
 
-	// Synthesis: elaborating the executable platform. When tracing, a
-	// Gantt collector taps the simulator's event stream so its lanes can
-	// be bridged into the cycle domain of the trace afterwards.
+	// Synthesis: elaborating the executable platform. When tracing, the
+	// simulator's event stream is recorded as lanes to be added to the
+	// cycle domain of the trace afterwards.
 	var s *sim.Simulation
-	var gantt *trace.Gantt
+	var lanes *simLanes
 	var simTrace func(event, subject string, now int64)
 	if tr := cfg.Obs.TraceOf(); tr != nil {
-		gantt = trace.New()
-		simTrace = gantt.Collector()
+		lanes = &simLanes{open: make(map[string]int64)}
+		simTrace = lanes.record
 	}
 	if err := step("Synthesis of the system", true, func() error {
 		var err error
@@ -279,7 +278,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Execution on the platform. The Gantt lanes are bridged even when
+	// Execution on the platform. The lanes are traced even when
 	// execution fails (deadlock, WCET violation, cancellation): firings
 	// still in flight are closed at the final simulated time and marked
 	// open, which is exactly the timeline a designer needs to see why the
@@ -289,8 +288,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Sim = r
 		return err
 	})
-	if gantt != nil {
-		bridgeGantt(cfg.Obs.TraceOf(), gantt, s.Now(), res.Sim)
+	if lanes != nil {
+		lanes.addTo(cfg.Obs.TraceOf(), s.Now(), res.Sim)
 	}
 	if execErr != nil {
 		// A tile fail-stop is not the end of the flow: re-map onto the
@@ -417,16 +416,51 @@ func runDegraded(ctx context.Context, cfg Config, res *Result, engine *faults.En
 	return nil
 }
 
-// bridgeGantt copies the simulator's Gantt lanes into the trace's
-// platform-cycle domain. Spans left open (firings in flight when the run
-// deadlocked or was interrupted) are closed at the final simulated time
-// `end` and labelled "exec (open)". When a result is available, each tile
-// additionally gets a full-run summary span carrying its busy/stall
-// cycle split and utilization.
-func bridgeGantt(tr *obs.Trace, g *trace.Gantt, end int64, r *sim.Result) {
-	g.CloseOpen(end)
-	for _, sp := range g.Spans() {
-		tr.AddCycleSpan(sp.Lane, sp.Label, sp.Start, sp.End)
+// simLanes records the simulator's event stream: each "exec-start" and
+// "exec-end" pair becomes an "exec" span on the actor's lane, and every
+// other event an instant mark on its subject's lane.
+type simLanes struct {
+	spans []laneSpan
+	open  map[string]int64 // lane -> start of its in-flight firing
+}
+
+type laneSpan struct {
+	lane, label string
+	start, end  int64
+}
+
+func (l *simLanes) record(event, subject string, now int64) {
+	switch event {
+	case "exec-start":
+		l.open[subject] = now
+	case "exec-end":
+		if start, ok := l.open[subject]; ok {
+			l.spans = append(l.spans, laneSpan{subject, "exec", start, now})
+			delete(l.open, subject)
+		}
+	default:
+		l.spans = append(l.spans, laneSpan{subject, event, now, now})
+	}
+}
+
+// addTo adds the recorded lanes to the trace's platform-cycle domain in
+// (start, lane) order. Firings still in flight (the run deadlocked or was
+// interrupted) are closed at the final simulated time end, or at their own
+// start if that is later, and labelled "exec (open)". When a result is
+// available, each tile additionally gets a full-run summary span carrying
+// its busy/stall cycle split and utilization.
+func (l *simLanes) addTo(tr *obs.Trace, end int64, r *sim.Result) {
+	for lane, start := range l.open {
+		l.spans = append(l.spans, laneSpan{lane, "exec (open)", start, max(start, end)})
+	}
+	sort.SliceStable(l.spans, func(i, j int) bool {
+		if l.spans[i].start != l.spans[j].start {
+			return l.spans[i].start < l.spans[j].start
+		}
+		return l.spans[i].lane < l.spans[j].lane
+	})
+	for _, sp := range l.spans {
+		tr.AddCycleSpan(sp.lane, sp.label, sp.start, sp.end)
 	}
 	if r == nil || end <= 0 {
 		return

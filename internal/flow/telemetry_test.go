@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestFlowTraceContents(t *testing.T) {
 	}
 }
 
-// TestFlowTraceOnCancel: when the execution is interrupted the Gantt
+// TestFlowTraceOnCancel: when the execution is interrupted the lanes
 // bridge must still run, closing in-flight firings as "exec (open)".
 func TestFlowTraceOnCancel(t *testing.T) {
 	cfg := smallMJPEGConfig(t)
@@ -154,6 +155,48 @@ func TestFlowTraceOnCancel(t *testing.T) {
 	}
 	if !json.Valid(b.Bytes()) {
 		t.Fatal("trace after cancellation is not valid JSON")
+	}
+}
+
+// TestSimLanesPairsEvents: an exec-start/exec-end pair becomes one
+// "exec" span on the actor's lane, any other event an instant mark on its
+// subject's lane, and the lanes reach the trace in (start, lane) order.
+func TestSimLanesPairsEvents(t *testing.T) {
+	l := &simLanes{open: make(map[string]int64)}
+	l.record("exec-start", "VLD", 100)
+	l.record("exec-start", "IQZZ", 120)
+	l.record("exec-end", "VLD", 150)
+	l.record("ser-done", "vld2iqzz", 160)
+	l.record("exec-end", "IQZZ", 170)
+	l.record("exec-end", "CC", 180) // no matching start: dropped
+	l.addTo(nil, 200, nil)
+	want := []laneSpan{
+		{"VLD", "exec", 100, 150},
+		{"IQZZ", "exec", 120, 170},
+		{"vld2iqzz", "ser-done", 160, 160},
+	}
+	if !reflect.DeepEqual(l.spans, want) {
+		t.Fatalf("spans = %+v\nwant %+v", l.spans, want)
+	}
+}
+
+// TestSimLanesCloseOpen: a firing still in flight when the simulation
+// stopped surfaces as an "exec (open)" span closed at the final time, or
+// at its own start when that is later, never going backwards.
+func TestSimLanesCloseOpen(t *testing.T) {
+	l := &simLanes{open: make(map[string]int64)}
+	l.record("exec-start", "VLD", 10)
+	l.record("exec-end", "VLD", 30)
+	l.record("exec-start", "IDCT", 25) // never ends: deadlocked mid-firing
+	l.record("exec-start", "CC", 90)   // started after the final time
+	l.addTo(nil, 60, nil)
+	want := []laneSpan{
+		{"VLD", "exec", 10, 30},
+		{"IDCT", "exec (open)", 25, 60},
+		{"CC", "exec (open)", 90, 90},
+	}
+	if !reflect.DeepEqual(l.spans, want) {
+		t.Fatalf("spans = %+v\nwant %+v", l.spans, want)
 	}
 }
 

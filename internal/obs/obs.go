@@ -477,18 +477,15 @@ func (s *SolverStats) AddTo(dst *SolverStats) {
 }
 
 // WarmStats receives the analysis memo's counters: how often a prior
-// exploration was reused (and at which tier) versus analyzed cold. Every
-// lookup counts as exactly one of Exact, Scaled or Misses. Create with
-// NewWarmStats.
+// exploration was reused versus analyzed cold. Every lookup counts as
+// exactly one of Exact or Misses. Create with NewWarmStats.
 type WarmStats struct {
 	// Exact counts full-result reuse (identical graph, schedules and
-	// reference actor); Scaled counts results transformed from a prior
-	// exploration whose WCETs differ by one exact rational factor.
-	Exact  *Counter
-	Scaled *Counter
+	// reference actor).
+	Exact *Counter
 	// Misses counts lookups that ran cold; Bailouts counts the misses
-	// where reuse was refused because soundness could not be proven
-	// (side-effecting options, state budget, deadlocks, overflow).
+	// where a cached exploration matched but reuse was refused because
+	// soundness could not be proven (state budget, deadlock tile labels).
 	Misses   *Counter
 	Bailouts *Counter
 }
@@ -499,13 +496,11 @@ type WarmStats struct {
 func NewWarmStats(r *Registry) *WarmStats {
 	if r == nil {
 		return &WarmStats{
-			Exact: &Counter{}, Scaled: &Counter{},
-			Misses: &Counter{}, Bailouts: &Counter{},
+			Exact: &Counter{}, Misses: &Counter{}, Bailouts: &Counter{},
 		}
 	}
 	return &WarmStats{
 		Exact:    r.Counter("mamps_warmstart_exact_hits_total", "Analyses served verbatim from a prior exploration."),
-		Scaled:   r.Counter("mamps_warmstart_scaled_hits_total", "Analyses transformed from a prior exploration by an exact WCET scaling."),
 		Misses:   r.Counter("mamps_warmstart_misses_total", "Analyses run cold."),
 		Bailouts: r.Counter("mamps_warmstart_bailouts_total", "Cold analyses whose reuse was refused because soundness could not be proven."),
 	}
@@ -518,7 +513,6 @@ func (w *WarmStats) AddTo(dst *WarmStats) {
 		return
 	}
 	dst.Exact.Add(w.Exact.Value())
-	dst.Scaled.Add(w.Scaled.Value())
 	dst.Misses.Add(w.Misses.Value())
 	dst.Bailouts.Add(w.Bailouts.Value())
 }

@@ -70,10 +70,19 @@ func TestAppendSelfHealsOnNoSpace(t *testing.T) {
 	}
 }
 
+// fixedClock stamps every record with one instant. Its full nanosecond
+// field keeps each timestamp at the width most wall-clock readings have;
+// a reading with trailing zeros would shorten the line it stamps.
+func fixedClock() clock.Clock {
+	return clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 123456789, time.UTC))
+}
+
 // TestAppendFaultEveryOffset is the torn-write matrix for the injected
 // append path: for every byte budget from 0 to the full line length,
 // the append fails (or, at full budget, the sync path completes), and
 // the registry self-heals so a subsequent append and fsck both pass.
+// Probe and subtests share a fixed clock (fixedClock), so the torn record
+// is exactly as long as the probe's on every run.
 func TestAppendFaultEveryOffset(t *testing.T) {
 	probe, err := testLineLen(t)
 	if err != nil {
@@ -83,7 +92,7 @@ func TestAppendFaultEveryOffset(t *testing.T) {
 		budget := budget
 		t.Run(fmt.Sprintf("budget%03d", budget), func(t *testing.T) {
 			dir := t.TempDir()
-			r, err := Open(dir, Options{})
+			r, err := Open(dir, Options{Clock: fixedClock()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +127,7 @@ func TestAppendFaultEveryOffset(t *testing.T) {
 func testLineLen(t *testing.T) (int, error) {
 	t.Helper()
 	dir := t.TempDir()
-	r, err := Open(dir, Options{})
+	r, err := Open(dir, Options{Clock: fixedClock()})
 	if err != nil {
 		return 0, err
 	}
@@ -140,10 +149,7 @@ func testLineLen(t *testing.T) (int, error) {
 func TestCrashTruncationEveryOffset(t *testing.T) {
 	golden := t.TempDir()
 	// A fixed clock fixes the index bytes, and with them the subtest set.
-	// Its full nanosecond field keeps each timestamp at the width most
-	// wall-clock readings have.
-	clk := clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 123456789, time.UTC))
-	r, err := Open(golden, Options{Clock: clk})
+	r, err := Open(golden, Options{Clock: fixedClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

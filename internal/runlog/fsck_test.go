@@ -306,8 +306,8 @@ func TestGCAdoptsLegacy(t *testing.T) {
 
 // TestLegacyAnalyzeWorkersRecord: records written before a field's
 // removal still carry it — "analyzeWorkers" from when requests could
-// choose the state-space parallelism, "warmHint" from the analysis
-// memo's hint tier. Such fields are kept read-only so the index still
+// choose the state-space parallelism, "warmScaled" and "warmHint" from
+// the analysis memo's scaled-WCET and hint tiers. Such fields are kept read-only so the index still
 // opens, verifies, and re-marshals to the exact bytes the ledger hashed.
 func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
 	cases := []struct {
@@ -318,6 +318,9 @@ func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
 		{`"analyzeWorkers":4`,
 			func(r *Record) { r.Config.AnalyzeWorkers = 4 },
 			func(r Record) bool { return r.Config.AnalyzeWorkers == 4 }},
+		{`"warmScaled":1`,
+			func(r *Record) { r.Counters.WarmScaled = 1 },
+			func(r Record) bool { return r.Counters.WarmScaled == 1 }},
 		{`"warmHint":2`,
 			func(r *Record) { r.Counters.WarmHint = 2 },
 			func(r Record) bool { return r.Counters.WarmHint == 2 }},

@@ -246,9 +246,10 @@ type Counters struct {
 	// sequence: the regression gate pins them so a silently changed
 	// reuse decision — the precursor of an unsound reuse — fails with an
 	// explicit reason.
-	// WarmHint is read-only: records from before the hint tier's removal
-	// carry it (cold analyses then pre-sized from a structural match), and
-	// the ledger hashed their exact bytes, field order included.
+	// WarmScaled and WarmHint are read-only: records from before the
+	// scaled-WCET and hint tiers' removal carry them (analyses then
+	// transformed from, or pre-sized by, a structural match), and the
+	// ledger hashed their exact bytes, field order included.
 	WarmExact    int64 `json:"warmExact,omitempty"`
 	WarmScaled   int64 `json:"warmScaled,omitempty"`
 	WarmHint     int64 `json:"warmHint,omitempty"`
@@ -280,7 +281,6 @@ func CountersFrom(set *obs.Set) Counters {
 	}
 	if w := set.WarmOf(); w != nil {
 		c.WarmExact = w.Exact.Value()
-		c.WarmScaled = w.Scaled.Value()
 		c.WarmMisses = w.Misses.Value()
 		c.WarmBailouts = w.Bailouts.Value()
 	}

@@ -1,11 +1,14 @@
 package sdf
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Rat is a rational number with int64 components, always stored in lowest
 // terms with a positive denominator. It is sufficient for repetition-vector
 // computation on realistic graphs; overflow indicates a degenerate model and
-// panics rather than silently corrupting the analysis.
+// panics with errOverflow rather than silently corrupting the analysis.
 type Rat struct {
 	Num, Den int64
 }
@@ -81,9 +84,13 @@ func lcm64(a, b int64) int64 {
 func mulChecked(a, b int64) int64 {
 	p := a * b
 	if a != 0 && (p/a != b || (a == -1 && b == minInt64) || (b == -1 && a == minInt64)) {
-		panic("sdf: integer overflow in rational arithmetic")
+		panic(errOverflow)
 	}
 	return p
 }
 
 const minInt64 = -1 << 63
+
+// errOverflow is the panic value of int64 overflow in rational arithmetic.
+// RepetitionVector turns it into an error.
+var errOverflow = errors.New("sdf: integer overflow in rational arithmetic")

@@ -1,6 +1,8 @@
 package sdf
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -128,5 +130,24 @@ func TestRatCrossReduction(t *testing.T) {
 	b := NewRat(3, 1<<40)
 	if !a.Mul(b).Equal(NewRat(1, 1)) {
 		t.Fatal("cross-reduced product wrong")
+	}
+}
+
+// TestRepetitionVectorOverflowIsError: a chain whose coprime rates near
+// 10^6 make the fractions outgrow int64 yields an error, not a panic.
+func TestRepetitionVectorOverflowIsError(t *testing.T) {
+	g := NewGraph("overflow")
+	prev := g.AddActor("a0", 1)
+	for i, r := range [][2]int{{1000003, 999983}, {1000033, 999979}, {1000037, 999961}, {1000039, 999959}} {
+		next := g.AddActor(fmt.Sprintf("a%d", i+1), 1)
+		g.Connect(prev, next, r[0], r[1], 0)
+		prev = next
+	}
+	q, err := g.RepetitionVector()
+	if !errors.Is(err, errOverflow) || q != nil {
+		t.Fatalf("RepetitionVector = %v, %v; want nil and the overflow error", q, err)
+	}
+	if g.IsConsistent() {
+		t.Fatal("an overflowing graph reported consistent")
 	}
 }

@@ -10,8 +10,16 @@ import "fmt"
 // i.e. the number of firings of each actor in one graph iteration. The graph
 // must be sample-rate consistent and weakly connected; otherwise an error
 // describing the first conflicting channel (or the disconnection) is
-// returned.
-func (g *Graph) RepetitionVector() ([]int64, error) {
+// returned, as it is when the vector does not fit int64.
+func (g *Graph) RepetitionVector() (_ []int64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if p != errOverflow {
+				panic(p)
+			}
+			err = fmt.Errorf("sdf: graph %q: repetition vector: %w", g.Name, errOverflow)
+		}
+	}()
 	n := len(g.actors)
 	if n == 0 {
 		return nil, fmt.Errorf("sdf: graph %q has no actors", g.Name)
@@ -77,7 +85,7 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 	q := make([]int64, n)
 	var g0 int64
 	for i, f := range frac {
-		q[i] = f.Num * (l / f.Den)
+		q[i] = mulChecked(f.Num, l/f.Den)
 		if q[i] <= 0 {
 			return nil, fmt.Errorf("sdf: graph %q has non-positive repetition count for actor %q", g.Name, g.actors[i].Name)
 		}

@@ -51,54 +51,49 @@ func check(t *testing.T, an analyzeFunc, g *sdf.Graph, opt statespace.Options) s
 	return got
 }
 
+// TestTiers: the memo's one tier serves identical requests; anything
+// else, a uniform WCET rescale included, runs cold.
 func TestTiers(t *testing.T) {
 	an, stats := newAnalyzer(8)
-	want := func(exact, scaled, misses int64) {
+	want := func(exact, misses int64) {
 		t.Helper()
-		if stats.Exact.Value() != exact || stats.Scaled.Value() != scaled || stats.Misses.Value() != misses {
-			t.Fatalf("exact/scaled/misses = %d/%d/%d, want %d/%d/%d",
-				stats.Exact.Value(), stats.Scaled.Value(), stats.Misses.Value(), exact, scaled, misses)
+		if stats.Exact.Value() != exact || stats.Misses.Value() != misses {
+			t.Fatalf("exact/misses = %d/%d, want %d/%d",
+				stats.Exact.Value(), stats.Misses.Value(), exact, misses)
 		}
 	}
 
-	// Cold: first sight of the structure.
+	// Cold: first sight of the request.
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	want(0, 0, 1)
+	want(0, 1)
 	// Exact: the identical request again.
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	want(1, 0, 1)
-	// Scaled: all WCETs times 7/1.
+	want(1, 1)
+	// All WCETs times 7: a different request, cold.
 	check(t, an, pipeline([3]int64{21, 35, 14}, 4), statespace.Options{})
-	want(1, 1, 1)
-	// 21,35,14 is now the latest of its structure, but 3,5,2 is an exact
-	// repeat, not a scaling by 1/7.
-	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
-	want(2, 1, 1)
-	check(t, an, pipeline([3]int64{6, 10, 4}, 4), statespace.Options{})
-	want(2, 2, 1)
-	// Same structure, unrelated WCETs: cold.
-	check(t, an, pipeline([3]int64{3, 5, 7}, 4), statespace.Options{})
-	want(2, 2, 2)
+	want(1, 2)
 	// Different structure (token count): cold.
 	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
-	want(2, 2, 3)
+	want(1, 3)
 	if stats.Bailouts.Value() != 0 {
 		t.Fatalf("Bailouts = %d, want 0", stats.Bailouts.Value())
 	}
 }
 
+// TestScaledMatchesColdExactly: uniformly scaled WCET copies, including
+// non-integer rational factors, are distinct requests; each runs cold
+// and the memo never answers one with another's result.
 func TestScaledMatchesColdExactly(t *testing.T) {
-	// Sweep factors including non-integer rationals; every scaled result
-	// must equal cold bit for bit (float Throughput included).
 	an, stats := newAnalyzer(8)
 	base := [3]int64{6, 10, 4}
 	check(t, an, pipeline(base, 2), statespace.Options{})
-	for _, f := range []struct{ p, q int64 }{{2, 1}, {3, 2}, {1, 2}, {7, 2}, {5, 1}} {
+	factors := []struct{ p, q int64 }{{2, 1}, {3, 2}, {1, 2}, {7, 2}, {5, 1}}
+	for _, f := range factors {
 		w := [3]int64{base[0] * f.p / f.q, base[1] * f.p / f.q, base[2] * f.p / f.q}
 		check(t, an, pipeline(w, 2), statespace.Options{})
 	}
-	if stats.Scaled.Value() == 0 {
-		t.Fatal("no request took the scaled tier")
+	if stats.Exact.Value() != 0 || stats.Misses.Value() != int64(1+len(factors)) {
+		t.Fatalf("exact/misses = %d/%d, want 0/%d", stats.Exact.Value(), stats.Misses.Value(), 1+len(factors))
 	}
 }
 
@@ -113,16 +108,13 @@ func TestDeadlockNeverScaled(t *testing.T) {
 		return g
 	}
 	check(t, an, dead(1), statespace.Options{})
-	// Same structure, scaled WCETs: must bail out of the scaled tier and
-	// run cold, never transform the deadlock.
+	// Same structure, scaled WCETs: runs cold, the deadlock report is the
+	// cold kernel's own.
 	check(t, an, dead(2), statespace.Options{})
-	if stats.Scaled.Value() != 0 {
-		t.Fatalf("Scaled = %d, want 0 for deadlocks", stats.Scaled.Value())
+	if stats.Bailouts.Value() != 0 || stats.Misses.Value() != 2 {
+		t.Fatalf("bailouts/misses = %d/%d, want 0/2", stats.Bailouts.Value(), stats.Misses.Value())
 	}
-	if stats.Bailouts.Value() != 1 || stats.Misses.Value() != 2 {
-		t.Fatalf("bailouts/misses = %d/%d, want 1/2 (a bailout is a miss)", stats.Bailouts.Value(), stats.Misses.Value())
-	}
-	// The exact tier still serves deadlocks verbatim.
+	// The exact tier serves deadlocks verbatim.
 	check(t, an, dead(1), statespace.Options{})
 	if stats.Exact.Value() != 1 {
 		t.Fatalf("Exact = %d, want 1", stats.Exact.Value())
@@ -149,25 +141,6 @@ func TestBudgetGuard(t *testing.T) {
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{MaxStates: res.StatesExplored + 1})
 }
 
-func TestOnCompleteBypassesCache(t *testing.T) {
-	an, stats := newAnalyzer(8)
-	g := pipeline([3]int64{3, 5, 2}, 4)
-	if _, err := an(g, statespace.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	opt := statespace.Options{OnComplete: func(sdf.ActorID, int64) { fired++ }}
-	if _, err := an(pipeline([3]int64{3, 5, 2}, 4), opt); err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Fatal("OnComplete never fired: memo served a side-effecting analysis")
-	}
-	if stats.Bailouts.Value() != 1 || stats.Exact.Value() != 0 {
-		t.Fatalf("bailouts/exact = %d/%d, want 1/0", stats.Bailouts.Value(), stats.Exact.Value())
-	}
-}
-
 func TestResultIsolation(t *testing.T) {
 	// Mutating a returned Result must not corrupt the memo.
 	an, _ := newAnalyzer(8)
@@ -187,11 +160,11 @@ func TestEviction(t *testing.T) {
 	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
 	check(t, an, pipeline([3]int64{3, 5, 2}, 3), statespace.Options{})
 	check(t, an, pipeline([3]int64{3, 5, 2}, 2), statespace.Options{}) // evicts the first
-	// Neither tier may reach the evicted exploration.
-	check(t, an, pipeline([3]int64{6, 10, 4}, 4), statespace.Options{})
-	if stats.Exact.Value() != 0 || stats.Scaled.Value() != 0 || stats.Misses.Value() != 4 {
-		t.Fatalf("exact/scaled/misses = %d/%d/%d, want 0/0/4 after eviction",
-			stats.Exact.Value(), stats.Scaled.Value(), stats.Misses.Value())
+	// The evicted exploration is gone.
+	check(t, an, pipeline([3]int64{3, 5, 2}, 4), statespace.Options{})
+	if stats.Exact.Value() != 0 || stats.Misses.Value() != 4 {
+		t.Fatalf("exact/misses = %d/%d, want 0/4 after eviction",
+			stats.Exact.Value(), stats.Misses.Value())
 	}
 }
 
@@ -345,29 +318,27 @@ func TestMemoMatchesCold(t *testing.T) {
 	}
 }
 
-// TestKeyTiers: the structural half ignores WCETs only; the exact key
-// covers every field a Result depends on but the tile labels, which
-// only a deadlock report prints (TestMemoMatchesCold covers those).
+// TestKeyTiers: the exact key covers every field a Result depends on but
+// the tile labels, which only a deadlock report prints (TestMemoMatchesCold
+// covers those), and the MaxStates budget (TestBudgetGuard).
 func TestKeyTiers(t *testing.T) {
 	g := pipeline([3]int64{3, 5, 2}, 4)
 	sched := statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{0, 1, 2}}}}
-	exact, structural := analysisKey(g, sched)
+	key := analysisKey(g, sched)
 
-	scaled := pipeline([3]int64{6, 10, 4}, 4)
-	e2, s2 := analysisKey(scaled, sched)
-	if s2 != structural || e2 == exact {
-		t.Error("WCETs must change the exact key only")
-	}
 	bounded := sched
 	bounded.MaxStates = 99
-	if e, _ := analysisKey(g, bounded); e != exact {
-		t.Error("MaxStates influenced the exact key")
+	if analysisKey(g, bounded) != key {
+		t.Error("MaxStates influenced the key")
 	}
 	relabeled := statespace.Options{Schedules: []statespace.Schedule{{Tile: "t1", Entries: []sdf.ActorID{0, 1, 2}}}}
-	if e, _ := analysisKey(g, relabeled); e != exact {
-		t.Error("a tile label influenced the exact key")
+	if analysisKey(g, relabeled) != key {
+		t.Error("a tile label influenced the key")
 	}
 	mutations := map[string]func() (*sdf.Graph, statespace.Options){
+		"WCETs": func() (*sdf.Graph, statespace.Options) {
+			return pipeline([3]int64{6, 10, 4}, 4), sched
+		},
 		"static order": func() (*sdf.Graph, statespace.Options) {
 			return g, statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{2, 1, 0}}}}
 		},
@@ -391,8 +362,8 @@ func TestKeyTiers(t *testing.T) {
 		},
 	}
 	for name, mut := range mutations {
-		if e, s := analysisKey(mut()); e == exact || s == structural {
-			t.Errorf("%s did not change both keys", name)
+		if analysisKey(mut()) == key {
+			t.Errorf("%s did not change the key", name)
 		}
 	}
 }

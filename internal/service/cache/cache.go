@@ -9,7 +9,6 @@ package cache
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -63,7 +62,6 @@ type Cache struct {
 	lru      *list.List // front = most recently used; values are *entry
 	entries  map[string]*list.Element
 	inflight map[string]*call
-	structs  map[[sha256.Size]byte]*memo // the scaled tier's index into lru
 	stats    Stats
 }
 
@@ -78,7 +76,6 @@ func New(capacity int) *Cache {
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*call),
-		structs:  make(map[[sha256.Size]byte]*memo),
 	}
 }
 
@@ -165,16 +162,10 @@ func (c *Cache) finish(key string, cl *call, store bool) {
 	if store {
 		el := c.lru.PushFront(&entry{key: key, val: cl.val})
 		c.entries[key] = el
-		if m, ok := cl.val.(*memo); ok {
-			c.structs[m.structural] = m
-		}
 		for c.lru.Len() > c.capacity {
 			oldest := c.lru.Back().Value.(*entry)
 			c.lru.Remove(c.lru.Back())
 			delete(c.entries, oldest.key)
-			if m, ok := oldest.val.(*memo); ok && c.structs[m.structural] == m {
-				delete(c.structs, m.structural)
-			}
 			c.stats.Evictions++
 		}
 	}

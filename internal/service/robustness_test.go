@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -172,6 +173,72 @@ func TestMalformedModelRejected(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after malformed models: %d", hr.StatusCode)
+	}
+}
+
+// overflowChainXML is a 5-actor chain whose coprime rates near 10^6 make
+// the repetition vector's fractions outgrow int64.
+func overflowChainXML() string {
+	var b strings.Builder
+	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>
+<applicationGraph name="overflow"><sdf>`)
+	for i := 0; i < 5; i++ {
+		fmt.Fprintf(&b, `<actor name="a%d"></actor>`, i)
+	}
+	for i, r := range [][2]int{{1000003, 999983}, {1000033, 999979}, {1000037, 999961}, {1000039, 999959}} {
+		fmt.Fprintf(&b, `<channel name="c%d" srcActor="a%d" srcRate="%d" dstActor="a%d" dstRate="%d" initialTokens="0" tokenSize="4"></channel>`,
+			i, i, r[0], i+1, r[1])
+	}
+	b.WriteString(`</sdf>`)
+	for i := 0; i < 5; i++ {
+		fmt.Fprintf(&b, `<actorProperties actor="a%d"><processor type="microblaze"><executionTime><time>10</time></executionTime>`+
+			`<memory><instr>2048</instr><data>512</data></memory></processor></actorProperties>`, i)
+	}
+	b.WriteString(`</applicationGraph>`)
+	return b.String()
+}
+
+// TestRepetitionVectorOverflowRejected: a model whose repetition vector
+// overflows int64 gets a structured 4xx on every route that decodes an
+// application, within 100 ms, not a 500; the server keeps answering
+// /healthz.
+func TestRepetitionVectorOverflowRejected(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 8, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc := overflowChainXML()
+	for path, req := range map[string]any{
+		"/v1/analyze": modelio.AnalyzeRequestJSON{AppXML: doc},
+		"/v1/flow":    modelio.FlowRequestJSON{AppXML: doc, Tiles: 3},
+		"/v1/dse":     modelio.DSERequestJSON{AppXML: doc, MaxTiles: 2, Interconnects: []string{"fsl"}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, data := post(t, ts, path, string(body))
+		elapsed := time.Since(start)
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: status %d, want 4xx (%s)", path, resp.StatusCode, data)
+		}
+		var e modelio.ErrorJSON
+		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "overflow") {
+			t.Errorf("%s: want a structured error naming the overflow: %s", path, data)
+		}
+		if elapsed > 100*time.Millisecond {
+			t.Errorf("%s: answered in %v, want within 100ms", path, elapsed)
+		}
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after overflowing models: %d", hr.StatusCode)
 	}
 }
 

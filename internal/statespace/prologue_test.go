@@ -116,36 +116,6 @@ func TestPrologueValidation(t *testing.T) {
 	}
 }
 
-func TestOnCompleteHook(t *testing.T) {
-	g := sdf.NewGraph("hook")
-	a := g.AddActor("a", 2)
-	b := g.AddActor("b", 3)
-	g.Connect(a, b, 1, 1, 0)
-	g.Connect(b, a, 1, 1, 1)
-	type ev struct {
-		actor sdf.ActorID
-		at    int64
-	}
-	var events []ev
-	_, err := Analyze(g, Options{OnComplete: func(id sdf.ActorID, now int64) {
-		if len(events) < 6 {
-			events = append(events, ev{id, now})
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The exploration stops at the first recurrent state, so only the
-	// transient-plus-one-period completions are observed.
-	if len(events) < 2 {
-		t.Fatalf("events = %d", len(events))
-	}
-	// First completion: a at t=2; then b at t=5.
-	if events[0] != (ev{a.ID, 2}) || events[1] != (ev{b.ID, 5}) {
-		t.Fatalf("events = %+v", events)
-	}
-}
-
 func TestMaxTokensTracked(t *testing.T) {
 	g := sdf.NewGraph("occ")
 	a := g.AddActor("a", 2)

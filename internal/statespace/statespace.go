@@ -29,7 +29,6 @@ import (
 
 	"mamps/internal/obs"
 	"mamps/internal/sdf"
-	"mamps/internal/statespace/shard"
 )
 
 // Schedule is a cyclic static-order schedule for one tile: the tile fires
@@ -64,11 +63,6 @@ type Options struct {
 	// iterations; its completion count divided by its repetition-vector
 	// entry gives the iteration count. Defaults to actor 0.
 	ReferenceActor sdf.ActorID
-
-	// OnComplete, if set, is called for every firing completion with the
-	// actor and the completion time — a trace hook for debugging models
-	// and generating Gantt charts. It must not modify the graph.
-	OnComplete func(a sdf.ActorID, now int64)
 
 	// Interrupt, if non-nil, aborts the exploration with ErrInterrupted
 	// when the channel becomes readable (typically a context's Done
@@ -284,7 +278,7 @@ type explorer struct {
 	nTokBig   int
 	slowBuf   []byte
 	wide      []uint64 // oversized components diverted to the key's wide tail
-	table     *shard.Segment
+	table     *seenTable
 }
 
 // Analyze explores the self-timed state space of g and returns its
@@ -309,8 +303,8 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if err := e.setup(g, opt, ref); err != nil {
 		return Result{}, err
 	}
-	e.table = shard.Get(e.keyHint())
-	defer e.table.Release()
+	e.table = getSeenTable(e.keyHint())
+	defer e.table.release()
 
 	for states := 0; states < maxStates; states++ {
 		if e.zeroTimeErr != nil {
@@ -328,15 +322,15 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 			e.publishProgress(tel)
 		}
 		key := e.stateKey()
-		h := e.table.Hash(key)
-		if v, ok := e.table.LookupOrInsert(h, key, shard.Visit{Time: e.now, Completions: e.refCompletions}); ok {
-			period := e.now - v.Time
-			firings := e.refCompletions - v.Completions
+		h := e.table.hash(key)
+		if v, ok := e.table.lookupOrInsert(h, key, visit{time: e.now, completions: e.refCompletions}); ok {
+			period := e.now - v.time
+			firings := e.refCompletions - v.completions
 			res := Result{
 				FiringsPerPeriod: firings,
 				PeriodCycles:     period,
-				TransientCycles:  v.Time,
-				StatesExplored:   e.table.Len(),
+				TransientCycles:  v.time,
+				StatesExplored:   e.table.size(),
 				MaxTokens:        e.maxTokens,
 			}
 			if period > 0 && firings > 0 {
@@ -355,7 +349,7 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 		if len(e.events) == 0 {
 			// Nothing in flight and nothing could start: deadlock.
 			e.publishFinal(opt.Telemetry, true, false)
-			return Result{Deadlocked: true, DeadlockReport: e.deadlockReport(), StatesExplored: e.table.Len(), TransientCycles: e.now, MaxTokens: e.maxTokens}, nil
+			return Result{Deadlocked: true, DeadlockReport: e.deadlockReport(), StatesExplored: e.table.size(), TransientCycles: e.now, MaxTokens: e.maxTokens}, nil
 		}
 		e.now = e.events[0].at
 		e.finishZero()
@@ -493,9 +487,9 @@ func (e *explorer) setup(g *sdf.Graph, opt Options, ref sdf.ActorID) error {
 // telemetry gauges; called at a sampled interval so the hot loop's cost
 // is one pointer check per state.
 func (e *explorer) publishProgress(tel *obs.ExplorerStats) {
-	tel.States.Store(int64(e.table.Len()))
-	tel.ArenaBytes.Store(int64(e.table.ArenaBytes()))
-	tel.TableSlots.Store(int64(e.table.Slots()))
+	tel.States.Store(int64(e.table.size()))
+	tel.ArenaBytes.Store(int64(len(e.table.arena)))
+	tel.TableSlots.Store(int64(len(e.table.slots)))
 }
 
 // publishFinal records a terminated exploration: the last progress
@@ -506,7 +500,7 @@ func (e *explorer) publishFinal(tel *obs.ExplorerStats, deadlocked, interrupted 
 		return
 	}
 	e.publishProgress(tel)
-	tel.StatesTotal.Add(int64(e.table.Len()))
+	tel.StatesTotal.Add(int64(e.table.size()))
 	if interrupted {
 		tel.Interrupted.Add(1)
 		return
@@ -656,9 +650,6 @@ func (e *explorer) finishZero() {
 				ti := int(-ev.id - 1)
 				t := &e.tiles[ti]
 				e.produce(int32(t.current))
-				if e.opt.OnComplete != nil {
-					e.opt.OnComplete(t.current, e.now)
-				}
 				if t.current == e.ref {
 					e.refCompletions++
 				}
@@ -669,9 +660,6 @@ func (e *explorer) finishZero() {
 				a := e.selfTimed[ev.id]
 				e.queues[ev.id].popFront()
 				e.produce(a)
-				if e.opt.OnComplete != nil {
-					e.opt.OnComplete(sdf.ActorID(a), e.now)
-				}
 				if sdf.ActorID(a) == e.ref {
 					e.refCompletions++
 				}
