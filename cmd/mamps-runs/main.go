@@ -215,7 +215,6 @@ func cmdStats(dir string, args []string) error {
 	until := fs.String("until", "", "only runs before this RFC 3339 time")
 	groupBy := fs.String("group-by", "", "grouping dimension: graphKey (default), app, kind, baselineKey, corpus, outcome, none")
 	asJSON := fs.Bool("json", false, "print the deterministic agg.Report wire form")
-	anomalies := fs.Bool("anomalies", false, "score every matched run for per-key drift (EWMA/MAD) and report the flagged anomalies")
 	fs.Parse(args)
 	if dir == "" {
 		return fmt.Errorf("stats needs -dir (the run registry directory)")
@@ -225,7 +224,7 @@ func cmdStats(dir string, args []string) error {
 		BaselineKey: *baselineKey, Corpus: *corpusName,
 		Degraded: *degraded, Deadlocked: *deadlocked,
 		Regressed: *regressed, Faulted: *faulted,
-		GroupBy: *groupBy, Anomalies: *anomalies,
+		GroupBy: *groupBy,
 	}
 	var err error
 	if q.Since, err = timeFlag("since", *since); err != nil {
@@ -288,13 +287,6 @@ func printReport(rep *agg.Report) {
 		row(rep.Total)
 	}
 	w.Flush()
-	if rep.AnomalyCount > 0 || len(rep.Anomalies) > 0 {
-		fmt.Printf("%d anomal(ies) flagged (mamps_anomalies_total)\n", rep.AnomalyCount)
-		for _, a := range rep.Anomalies {
-			fmt.Printf("  ANOMALY %-14s %-16s %s: value=%.6g mean=%.6g score=%.3g\n",
-				a.RunID, a.Metric, a.Key, a.Value, a.Mean, a.Score)
-		}
-	}
 }
 
 func cmdShow(dir string, args []string) error {

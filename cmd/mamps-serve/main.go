@@ -17,12 +17,9 @@
 //	GET  /metrics     (includes the mamps_slo_* burn-rate board)
 //	POST /debug/dump  (diagnostic bundle: flight-recorder ring + profiles; SIGQUIT does the same)
 //
-// With -trace-retention, the registry keeps execution traces only for
-// runs worth debugging — degraded, deadlocked, errored, regression-
-// tagged, tail-slow for their graph key, or the bounded always-keep
-// sample — and drops the rest at append time. Every run's index record
-// stays resolvable either way.
-//
+// The flags are deployment settings only; the SLO objectives, the
+// flight-recorder size and the profile rates are fixed in
+// internal/service.
 // See README.md for a worked curl session.
 package main
 
@@ -55,21 +52,6 @@ func main() {
 	runlogDir := flag.String("runlog", "", "run registry directory: record every computed run and serve GET /v1/runs")
 	runlogMax := flag.Int("runlog-max-records", 10000, "run registry retention: max records kept (0 = unlimited)")
 	runlogAge := flag.Duration("runlog-max-age", 0, "run registry retention: max record age (0 = unlimited)")
-	traceRetention := flag.Bool("trace-retention", false, "tail-based trace retention: keep traces only for degraded/deadlocked/slow/regressed/sampled runs")
-	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "retention: keep traces slower than this quantile of their graph key's history (0: default 0.95)")
-	traceMinHist := flag.Int("trace-min-history", 0, "retention: keep every trace until a key has this many runs (0: default 20)")
-	traceSample := flag.Int64("trace-sample-every", 0, "retention: always keep every Nth run's trace (0: default 100, negative: disable)")
-	sloLatencyTarget := flag.Duration("slo-latency-target", 0, "SLO: analyze/flow/dse latency threshold counted as good (0: default 2s)")
-	sloLatencyGoal := flag.Float64("slo-latency-goal", 0, "SLO: target fraction of requests under the latency threshold (0: default 0.99)")
-	sloThroughputGoal := flag.Float64("slo-throughput-goal", 0, "SLO: target fraction of runs meeting their requested throughput (0: default 0.95)")
-	sloRegressionGoal := flag.Float64("slo-regression-goal", 0, "SLO: target fraction of regression-free runs (0: default 0.99)")
-	recorderSize := flag.Int("flight-recorder", 0, "flight recorder ring capacity in events (0: default 256, negative: disable)")
-	mutexFraction := flag.Int("mutex-profile-fraction", 0, "with -pprof: runtime mutex profile fraction (0: default 100, negative: leave runtime default)")
-	blockRate := flag.Int("block-profile-rate", 0, "with -pprof: runtime block profile rate in ns (0: default 1000000, negative: leave runtime default)")
-	profilePeriod := flag.Duration("profile-period", 0, "with -runlog: steady-state period of the background profile sampler (0: default 60s, negative: disable)")
-	profileBurnPeriod := flag.Duration("profile-burn-period", 0, "with -runlog: escalated sampler period while an SLO objective burns (0: default 5s)")
-	profileRing := flag.Int("profile-ring", 0, "with -runlog: profile captures retained (0: default 4)")
-	profileCPU := flag.Duration("profile-cpu-duration", 0, "CPU profile length per capture/dump (0: default 200ms, negative: heap only)")
 	flag.Parse()
 
 	level, err := obs.ParseLevel(*logLevel)
@@ -80,18 +62,10 @@ func main() {
 
 	var runs *runlog.Registry
 	if *runlogDir != "" {
-		opt := runlog.Options{
+		runs, err = runlog.Open(*runlogDir, runlog.Options{
 			MaxRecords: *runlogMax,
 			MaxAge:     *runlogAge,
-		}
-		if *traceRetention {
-			opt.TraceRetention = &runlog.TraceRetention{
-				SlowQuantile: *traceSlowQ,
-				MinHistory:   *traceMinHist,
-				SampleEvery:  *traceSample,
-			}
-		}
-		runs, err = runlog.Open(*runlogDir, opt)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,25 +74,13 @@ func main() {
 	}
 
 	srv := service.New(service.Config{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		JobTimeout:        *jobTimeout,
-		CacheCapacity:     *cacheCap,
-		Logger:            logger,
-		EnablePprof:       *enablePprof,
-		RunLog:            runs,
-		SLOLatencyTarget:  *sloLatencyTarget,
-		SLOLatencyGoal:    *sloLatencyGoal,
-		SLOThroughputGoal: *sloThroughputGoal,
-		SLORegressionGoal: *sloRegressionGoal,
-
-		FlightRecorderSize:   *recorderSize,
-		MutexProfileFraction: *mutexFraction,
-		BlockProfileRate:     *blockRate,
-		ProfilePeriod:        *profilePeriod,
-		ProfileBurnPeriod:    *profileBurnPeriod,
-		ProfileRing:          *profileRing,
-		ProfileCPUDuration:   *profileCPU,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		JobTimeout:    *jobTimeout,
+		CacheCapacity: *cacheCap,
+		Logger:        logger,
+		EnablePprof:   *enablePprof,
+		RunLog:        runs,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -153,12 +153,22 @@ type Interconnect struct {
 	FlowControl bool
 }
 
+// MaxFIFODepth caps the FSL FIFO depth in words. The simulator allocates
+// every link's ring at full depth and the analysis takes the depth as the
+// link's network-buffer capacity, so the state space grows with it: a
+// depth of 10^6 costs gigabytes on a 3-tile MJPEG flow. The cap sits far
+// above the 2–64 words the FIFO ablation sweeps and the template's 16.
+const MaxFIFODepth = 8192
+
 // Validate checks interconnect parameters.
 func (ic *Interconnect) Validate() error {
 	switch ic.Kind {
 	case FSL:
 		if ic.FIFODepth <= 0 {
 			return fmt.Errorf("arch: FSL interconnect needs a positive FIFO depth (got %d)", ic.FIFODepth)
+		}
+		if ic.FIFODepth > MaxFIFODepth {
+			return fmt.Errorf("arch: FSL FIFO depth %d exceeds the cap of %d words", ic.FIFODepth, MaxFIFODepth)
 		}
 	case NoC:
 		if ic.WiresPerLink <= 0 || ic.WiresPerLink > 32 {

@@ -93,6 +93,7 @@ func TestSlavePeripheralsRejected(t *testing.T) {
 func TestInterconnectValidate(t *testing.T) {
 	bad := []Interconnect{
 		{Kind: FSL, FIFODepth: 0},
+		{Kind: FSL, FIFODepth: MaxFIFODepth + 1},
 		{Kind: NoC, WiresPerLink: 0, HopLatency: 3},
 		{Kind: NoC, WiresPerLink: 64, HopLatency: 3},
 		{Kind: NoC, WiresPerLink: 16, HopLatency: 0},
@@ -105,6 +106,7 @@ func TestInterconnectValidate(t *testing.T) {
 	}
 	good := []Interconnect{
 		{Kind: FSL, FIFODepth: 4},
+		{Kind: FSL, FIFODepth: MaxFIFODepth},
 		{Kind: NoC, WiresPerLink: 16, HopLatency: 2},
 	}
 	for i, ic := range good {

@@ -88,13 +88,6 @@ type Query struct {
 	// GroupBy is the grouping dimension: graphKey (default), app, kind,
 	// baselineKey, corpus, outcome or none.
 	GroupBy string
-	// Anomalies enables per-key drift scoring (anomaly.go) over the
-	// matched records. The detector folds records in the order they are
-	// Added, so feed chronologically (ScanJSONL already is; a registry
-	// List must be reversed).
-	Anomalies bool
-	// Anomaly overrides the detector defaults when Anomalies is set.
-	Anomaly AnomalyConfig
 }
 
 // Validate checks the GroupBy dimension.
@@ -274,7 +267,6 @@ type groupAcc struct {
 	runs      int
 	outcomes  map[string]int
 	regressed int
-	anomalies int
 	metrics   map[string]*acc
 	stages    map[string]*acc
 }
@@ -340,7 +332,6 @@ func (g *groupAcc) merge(o *groupAcc) error {
 		g.outcomes[k] += v
 	}
 	g.regressed += o.regressed
-	g.anomalies += o.anomalies
 	for _, pair := range []struct{ dst, src map[string]*acc }{
 		{g.metrics, o.metrics}, {g.stages, o.stages},
 	} {
@@ -364,7 +355,6 @@ func (g *groupAcc) stats(key string) GroupStats {
 		Runs:      g.runs,
 		Outcomes:  g.outcomes,
 		Regressed: g.regressed,
-		Anomalies: g.anomalies,
 	}
 	if len(g.metrics) > 0 {
 		gs.Metrics = make(map[string]Dist, len(g.metrics))
@@ -391,9 +381,6 @@ type GroupStats struct {
 	Outcomes map[string]int `json:"outcomes"`
 	// Regressed counts runs tagged by the regression detector.
 	Regressed int `json:"regressed,omitempty"`
-	// Anomalies counts runs the drift detector flagged (only populated
-	// when the query enables anomaly scoring).
-	Anomalies int `json:"anomalies,omitempty"`
 	// Metrics holds the run-level distributions (MetricBound, ...);
 	// Stages the per-Table 1-stage wall-time distributions in µs.
 	Metrics map[string]Dist `json:"metrics,omitempty"`
@@ -412,16 +399,7 @@ type Report struct {
 	Truncated bool         `json:"truncated,omitempty"`
 	Groups    []GroupStats `json:"groups"`
 	Total     GroupStats   `json:"total"`
-	// AnomalyCount totals the drift detector's flags; Anomalies lists
-	// the first maxAnomalyList of them in fold order. Populated only
-	// when the query enables anomaly scoring.
-	AnomalyCount int       `json:"anomalyCount,omitempty"`
-	Anomalies    []Anomaly `json:"anomalies,omitempty"`
 }
-
-// maxAnomalyList caps the per-report anomaly listing; AnomalyCount
-// stays exact beyond it.
-const maxAnomalyList = 100
 
 // Aggregator folds records into a Report. Not safe for concurrent use;
 // shard-parallel aggregation builds one Aggregator per shard and Merges.
@@ -431,19 +409,12 @@ type Aggregator struct {
 	matched int
 	trunc   bool
 	groups  map[string]*groupAcc
-	det     *Detector
-	anoms   []Anomaly
-	anomN   int
 }
 
 // New returns an empty aggregator for the query. The query must
 // Validate.
 func New(q Query) *Aggregator {
-	a := &Aggregator{q: q, groups: map[string]*groupAcc{}}
-	if q.Anomalies {
-		a.det = NewDetector(q.Anomaly)
-	}
-	return a
+	return &Aggregator{q: q, groups: map[string]*groupAcc{}}
 }
 
 // Add examines one record, folding it in when it matches the query.
@@ -460,38 +431,15 @@ func (a *Aggregator) Add(rec *runlog.Record) {
 		a.groups[key] = g
 	}
 	g.add(rec)
-	if a.det != nil {
-		if flagged := a.det.Add(rec); len(flagged) > 0 {
-			g.anomalies++
-			a.anomN += len(flagged)
-			if room := maxAnomalyList - len(a.anoms); room > 0 {
-				if len(flagged) > room {
-					flagged = flagged[:room]
-				}
-				a.anoms = append(a.anoms, flagged...)
-			}
-		}
-	}
 }
 
 // Merge folds another aggregator's groups into a — the cross-shard
 // rollup. Both must have been built over the same (or compatible) metric
 // layouts, which holds for any two aggregators from this package.
-// Anomaly detector state is deliberately NOT merged: EWMA folds are
-// order-sensitive, so cross-shard anomaly scoring must rescan a merged
-// chronological stream. Flagged counts and listings do carry over.
 func (a *Aggregator) Merge(b *Aggregator) error {
 	a.scanned += b.scanned
 	a.matched += b.matched
 	a.trunc = a.trunc || b.trunc
-	a.anomN += b.anomN
-	if room := maxAnomalyList - len(a.anoms); room > 0 {
-		src := b.anoms
-		if len(src) > room {
-			src = src[:room]
-		}
-		a.anoms = append(a.anoms, src...)
-	}
 	for key, src := range b.groups {
 		dst, ok := a.groups[key]
 		if !ok {
@@ -530,9 +478,6 @@ func (a *Aggregator) Report() (*Report, error) {
 		}
 	}
 	rep.Total = total.stats("total")
-	rep.Total.Anomalies = a.anomN
-	rep.AnomalyCount = a.anomN
-	rep.Anomalies = a.anoms
 	return rep, nil
 }
 

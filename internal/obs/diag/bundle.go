@@ -64,7 +64,7 @@ const (
 // CaptureOptions parameterize one dump.
 type CaptureOptions struct {
 	// Reason labels the trigger: "panic", "deadlock", "sigquit",
-	// "manual", "burn", ...
+	// "manual", ...
 	Reason string
 	// NowNS stamps the bundle; pass the process clock's reading so
 	// deterministic replays produce identical manifests.

@@ -176,62 +176,3 @@ func TestBundleProfiles(t *testing.T) {
 		t.Fatalf("StripVolatile left volatile fields: %+v", b)
 	}
 }
-
-// TestSamplerBurn drives the sampler by hand: steady captures record
-// heap digests through the sink, and BurnDigests surfaces the freshest
-// capture only while the board burns.
-func TestSamplerBurn(t *testing.T) {
-	burning := false
-	stored := map[string][]byte{}
-	var tick int64
-	s := NewSampler(SamplerConfig{
-		Ring:        2,
-		CPUDuration: -1, // heap only: fast, deterministic count
-		Burning:     func() bool { return burning },
-		Sink: func(data []byte) (string, error) {
-			d := DigestOf(data)
-			stored[d] = data
-			return d, nil
-		},
-		NowNS: func() int64 { tick++; return tick },
-	})
-	if got := s.BurnDigests(); got != nil {
-		t.Fatalf("BurnDigests before any capture = %v, want nil", got)
-	}
-	c := s.Tick()
-	if len(c.Digests) != 1 || c.Burning {
-		t.Fatalf("first capture = %+v, want 1 digest, not burning", c)
-	}
-	if s.BurnDigests() != nil {
-		t.Fatal("BurnDigests while not burning, want nil")
-	}
-	burning = true
-	c = s.Tick()
-	if !c.Burning {
-		t.Fatal("capture during burn not marked burning")
-	}
-	bd := s.BurnDigests()
-	if len(bd) != 1 {
-		t.Fatalf("BurnDigests = %v, want the freshest heap digest", bd)
-	}
-	for _, d := range bd {
-		if _, ok := stored[d]; !ok {
-			t.Fatalf("burn digest %s not in sink", d)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		s.Tick()
-	}
-	if s.Captures() != 5 {
-		t.Fatalf("Captures = %d, want 5", s.Captures())
-	}
-	ring := s.Ring()
-	if len(ring) != 2 || ring[0].TimeNS >= ring[1].TimeNS {
-		t.Fatalf("ring = %+v, want 2 captures oldest first", ring)
-	}
-	var nilS *Sampler
-	nilS.Run(nil)
-	if nilS.Tick().Digests != nil || nilS.BurnDigests() != nil || nilS.Ring() != nil {
-		t.Fatal("nil sampler not inert")
-	}
-}

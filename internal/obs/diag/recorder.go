@@ -1,12 +1,10 @@
 // Package diag is the adaptive diagnostics layer: a fixed-size,
 // allocation-free flight recorder of recent process events, diagnostic
 // bundles that snapshot the ring together with kernel counters, SLO
-// state and pprof profiles when something goes wrong, and a
-// profile-on-burn sampler that keeps a bounded ring of periodic
-// CPU/heap captures and escalates while an SLO objective burns.
+// state and pprof profiles when something goes wrong.
 //
 // Like the rest of internal/obs, everything is nil-tolerant: methods on
-// a nil *Recorder or *Sampler are no-ops, so instrumented code guards
+// a nil *Recorder are no-ops, so instrumented code guards
 // its sites with a single pointer check and disabled diagnostics cost
 // nothing on any hot path.
 package diag
@@ -28,7 +26,7 @@ type Kind uint8
 
 const (
 	// KindEvent is a generic point event (request start/finish, dump
-	// trigger, anomaly flag).
+	// trigger).
 	KindEvent Kind = iota
 	// KindSpan is a completed activity with a duration encoded in the
 	// detail text.

@@ -1,14 +1,15 @@
-package obs
-
-// A validator for the Prometheus text exposition format (version 0.0.4),
-// used by tests that scrape /metrics: instead of grepping for a handful
-// of known series, the whole document is checked line by line — every
-// sample must parse, belong to a family whose # TYPE (and # HELP) was
-// declared before its first sample, histogram families must carry
-// well-formed cumulative _bucket series ending in le="+Inf", and no
-// series may appear twice. The checker is deliberately strict about
-// structure and silent about naming taste (it does not demand _total
-// suffixes), so it can gate real expositions without a lint allowlist.
+// Package promtest is a validator for the Prometheus text exposition
+// format (version 0.0.4), used by tests that scrape /metrics: instead of
+// grepping for a handful of known series, the whole document is checked
+// line by line — every sample must parse, belong to a family whose
+// # TYPE (and # HELP) was declared before its first sample, histogram
+// families must carry well-formed cumulative _bucket series ending in
+// le="+Inf", and no series may appear twice. The checker is deliberately
+// strict about structure and silent about naming taste (it does not
+// demand _total suffixes), so it can gate real expositions without a
+// lint allowlist. Only _test.go files import it, so it is not linked
+// into any command.
+package promtest
 
 import (
 	"bufio"

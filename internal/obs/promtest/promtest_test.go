@@ -1,4 +1,4 @@
-package obs
+package promtest
 
 import (
 	"strings"
@@ -71,33 +71,5 @@ func TestCheckPrometheusTextRejections(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-// The registry's own exposition — counters, gauges and registered
-// histograms — must pass the checker.
-func TestRegistryExpositionPassesChecker(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("t_events_total", "Events.").Add(3)
-	reg.Gauge("t_depth", "Depth.").Store(7)
-	h := NewHistogram(0.1, 1, 10)
-	h.Observe(0.5)
-	h.Observe(50)
-	reg.RegisterHistogram("t_latency_seconds", "Latency.", h)
-
-	var b strings.Builder
-	reg.WritePrometheus(&b)
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE t_latency_seconds histogram",
-		`t_latency_seconds_bucket{le="+Inf"} 2`,
-		"t_latency_seconds_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if err := CheckPrometheusText(strings.NewReader(out)); err != nil {
-		t.Errorf("registry exposition fails the checker: %v\n%s", err, out)
 	}
 }

@@ -17,7 +17,7 @@
 // sized by the slow window, driven by an injectable clock so tests (and
 // replay tooling) control time. A Board groups trackers and renders the
 // whole SLO surface as mamps_slo_* series in the Prometheus text
-// format; the output passes obs.CheckPrometheusText.
+// format; the output passes promtest.CheckPrometheusText.
 package slo
 
 import (
@@ -277,26 +277,6 @@ func (b *Board) States() []State {
 		})
 	}
 	return states
-}
-
-// Burning reports whether any objective on the board is currently in
-// the multiwindow alert state. A nil board is never burning.
-func (b *Board) Burning() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	ts := make([]*Tracker, 0, len(b.trackers))
-	for _, t := range b.trackers {
-		ts = append(ts, t)
-	}
-	b.mu.Unlock()
-	for _, t := range ts {
-		if t.Burning() {
-			return true
-		}
-	}
-	return false
 }
 
 // WritePrometheus renders the board as mamps_slo_* series, one label

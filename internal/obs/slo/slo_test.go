@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"mamps/internal/clock"
-	"mamps/internal/obs"
+	"mamps/internal/obs/promtest"
 )
 
 func newTestBoard() (*Board, *clock.Fake) {
@@ -143,7 +143,7 @@ func TestWritePrometheusPassesChecker(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if err := obs.CheckPrometheusText(strings.NewReader(out)); err != nil {
+	if err := promtest.CheckPrometheusText(strings.NewReader(out)); err != nil {
 		t.Errorf("board exposition fails the checker: %v\n%s", err, out)
 	}
 }

@@ -307,8 +307,10 @@ func TestGCAdoptsLegacy(t *testing.T) {
 // TestLegacyAnalyzeWorkersRecord: records written before a field's
 // removal still carry it — "analyzeWorkers" from when requests could
 // choose the state-space parallelism, "warmScaled" and "warmHint" from
-// the analysis memo's scaled-WCET and hint tiers. Such fields are kept read-only so the index still
-// opens, verifies, and re-marshals to the exact bytes the ledger hashed.
+// the analysis memo's scaled-WCET and hint tiers, "traceRetained" from
+// the tail-based trace retention policy. Such fields are kept read-only
+// so the index still opens, verifies, and re-marshals to the exact
+// bytes the ledger hashed.
 func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
 	cases := []struct {
 		field  string
@@ -324,6 +326,9 @@ func TestLegacyAnalyzeWorkersRecord(t *testing.T) {
 		{`"warmHint":2`,
 			func(r *Record) { r.Counters.WarmHint = 2 },
 			func(r Record) bool { return r.Counters.WarmHint == 2 }},
+		{`"traceRetained":"slow"`,
+			func(r *Record) { r.TraceRetained = "slow" },
+			func(r Record) bool { return r.TraceRetained == "slow" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

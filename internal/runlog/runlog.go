@@ -36,7 +36,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -109,10 +108,11 @@ type Record struct {
 	// directory (e.g. "trace.json", "deadlock.txt").
 	Artifacts []string `json:"artifacts,omitempty"`
 
-	// TraceRetained records why the tail-based retention policy kept
-	// this run's trace ("degraded", "deadlock", "error", "regressed",
-	// "slow", "sample" or "warmup"); empty when retention is off or the
-	// trace was dropped (or the run produced none).
+	// TraceRetained is read-only: records written while the registry
+	// had a tail-based trace retention policy carry the reason it kept
+	// their trace ("slow", "sample", ...). Nothing sets it now; the
+	// field stays so such records still re-marshal to the bytes their
+	// chain hash covers.
 	TraceRetained string `json:"traceRetained,omitempty"`
 
 	// Regression is attached by Append when a baseline exists for the
@@ -133,10 +133,10 @@ type Record struct {
 	SpanID  string `json:"spanID,omitempty"`
 
 	// Profiles maps pprof profile names ("profile/cpu", "profile/heap")
-	// to blob-store digests, attached by the profile-on-burn sampler to
-	// runs recorded while an SLO objective was burning (and by diagnostic
-	// bundle records to their captured profiles). The referenced blobs
-	// are GC-pinned and fsck-checked like artifact blobs.
+	// to blob-store digests, attached by diagnostic bundle records to
+	// their captured profiles (records written while a profile sampler
+	// existed may carry them too). The referenced blobs are GC-pinned
+	// and fsck-checked like artifact blobs.
 	Profiles map[string]string `json:"profiles,omitempty"`
 
 	// Format versions the record's wire schema: 0 is the pre-ledger
@@ -307,63 +307,6 @@ type Options struct {
 	// Tolerances configure the regression detector. The zero value
 	// demands bit-identical deterministic quantities.
 	Tolerances Tolerances
-	// TraceRetention, when non-nil, turns on tail-based retention of
-	// trace artifacts: instead of storing every Perfetto trace, Append
-	// keeps only the traces worth a human's attention (slow, degraded,
-	// deadlocked, errored or regression-tagged runs, plus a bounded
-	// always-keep sample) and drops the rest. The index record is always
-	// appended in full — only the trace.json artifact is subject to the
-	// policy; deadlock reports and other artifacts are always stored.
-	TraceRetention *TraceRetention
-}
-
-// TraceRetention is the tail-based trace retention policy. The zero
-// value is normalized to the defaults noted per field.
-type TraceRetention struct {
-	// SlowQuantile keeps a run's trace when its total stage wall time is
-	// at or above this quantile of the run history for its graph key
-	// (default 0.95 — the slowest ~5% per graph).
-	SlowQuantile float64
-	// MinHistory is the number of prior timed runs a graph key needs
-	// before the slow gate activates; until then every trace is kept, so
-	// a fresh registry never throws away traces it cannot yet judge
-	// (default 20).
-	MinHistory int
-	// SampleEvery keeps every Nth appended run's trace regardless of the
-	// other gates, bounding how unrepresented healthy runs can become
-	// (default 100; negative disables sampling).
-	SampleEvery int64
-}
-
-func (t *TraceRetention) withDefaults() *TraceRetention {
-	if t == nil {
-		return nil
-	}
-	out := *t
-	if out.SlowQuantile <= 0 || out.SlowQuantile > 1 {
-		out.SlowQuantile = 0.95
-	}
-	if out.MinHistory <= 0 {
-		out.MinHistory = 20
-	}
-	if out.SampleEvery == 0 {
-		out.SampleEvery = 100
-	}
-	return &out
-}
-
-// traceArtifactName is the artifact the retention policy governs.
-const traceArtifactName = "trace.json"
-
-// retentionBuckets is the fixed per-graph-key wall-time histogram layout
-// the slow gate quantiles over: 1-2.5-5 log buckets from 10µs to 5·10⁹µs.
-func retentionBuckets() []float64 {
-	var out []float64
-	for e := 1; e <= 9; e++ {
-		p := math.Pow(10, float64(e))
-		out = append(out, p, 2.5*p, 5*p)
-	}
-	return out
 }
 
 // Registry is the persistent run registry rooted at one directory. All
@@ -402,16 +345,9 @@ type Registry struct {
 	blobs  *blobs.Store
 	legacy int
 
-	// Per-graph-key total stage wall-time histograms feeding the
-	// tail-based trace retention slow gate. Nil map when retention is
-	// off.
-	durByKey map[string]*obs.Histogram
-
 	records       *obs.Gauge
 	regressions   *obs.Counter
 	gcRemoved     *obs.Counter
-	tracesKept    *obs.Counter
-	tracesDropped *obs.Counter
 	ledgerAppends *obs.Counter
 	legacyGauge   *obs.Gauge
 }
@@ -428,7 +364,6 @@ func Open(dir string, opt Options) (*Registry, error) {
 	if opt.Clock == nil {
 		opt.Clock = clock.System()
 	}
-	opt.TraceRetention = opt.TraceRetention.withDefaults()
 	if err := os.MkdirAll(filepath.Join(dir, runsDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
@@ -439,11 +374,7 @@ func Open(dir string, opt Options) (*Registry, error) {
 		tree:      &ledger.Tree{},
 		tip:       ledger.Genesis(),
 		records:   &obs.Gauge{}, regressions: &obs.Counter{}, gcRemoved: &obs.Counter{},
-		tracesKept: &obs.Counter{}, tracesDropped: &obs.Counter{},
 		ledgerAppends: &obs.Counter{}, legacyGauge: &obs.Gauge{},
-	}
-	if opt.TraceRetention != nil {
-		r.durByKey = make(map[string]*obs.Histogram)
 	}
 	bs, err := blobs.Open(filepath.Join(dir, blobsDirName))
 	if err != nil {
@@ -475,9 +406,6 @@ func Open(dir string, opt Options) (*Registry, error) {
 		if rec.Seq > r.seq {
 			r.seq = rec.Seq
 		}
-		// Recovered history re-primes the slow gate, so retention
-		// decisions survive restarts instead of re-entering warm-up.
-		r.observeDurationLocked(&rec)
 	}
 	bases, _, err := recoverJSONL(filepath.Join(dir, baselinesName))
 	if err != nil {
@@ -570,8 +498,6 @@ func (r *Registry) AttachMetrics(reg *obs.Registry) {
 	reg.RegisterGauge("mamps_runlog_records", "Records in the run registry index.", r.records)
 	reg.RegisterCounter("mamps_regressions_total", "Runs that drifted beyond tolerance from their baseline.", r.regressions)
 	reg.RegisterCounter("mamps_runlog_gc_removed_total", "Run records removed by retention GC.", r.gcRemoved)
-	reg.RegisterCounter("mamps_runlog_traces_kept_total", "Trace artifacts stored by the tail-based retention policy.", r.tracesKept)
-	reg.RegisterCounter("mamps_runlog_traces_dropped_total", "Trace artifacts dropped by the tail-based retention policy.", r.tracesDropped)
 	reg.RegisterCounter("mamps_ledger_appends_total", "Records appended to the Merkle-chained ledger.", r.ledgerAppends)
 	reg.RegisterGauge("mamps_ledger_legacy_records", "Recovered pre-ledger records awaiting chain adoption.", r.legacyGauge)
 	writes, dedups, gcRemoved := r.blobs.Metrics()
@@ -734,9 +660,8 @@ func shortKey(key string) string {
 }
 
 // Append assigns the record its identity (ID, Seq, Time), runs the
-// regression check against the baseline for the record's key, applies
-// the trace retention policy, stores the surviving artifacts under
-// runs/<id>/, and durably appends the record to the index. The stored
+// regression check against the baseline for the record's key, stores
+// the artifacts in the blob store, and durably appends the record to the index. The stored
 // record is returned. If retention bounds are set and exceeded, a GC
 // pass runs before returning.
 func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
@@ -751,9 +676,6 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 	rec.Time = r.clk.Now().UTC()
 	rec.BaselineKey = rec.baselineKey()
 
-	// The regression check runs before anything touches disk: the
-	// retention policy keeps every regressed run's trace, so the verdict
-	// must exist before the artifact write.
 	if base, ok := r.baselines[rec.BaselineKey]; ok {
 		reg := compareToBaseline(&base, &rec, r.opt.Tolerances)
 		rec.Regression = reg
@@ -761,7 +683,6 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 			r.regressions.Add(1)
 		}
 	}
-	artifacts = r.applyTraceRetention(&rec, artifacts)
 
 	// Artifacts go to the content-addressed blob store before the index
 	// append: a crash between the two leaves unreferenced blobs that the
@@ -810,23 +731,9 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 	return rec, nil
 }
 
-// PutBlob writes raw bytes through the content-addressed blob store and
-// returns their digest — the hook the profile-on-burn sampler stores
-// pprof captures with before their digests land on records' Profiles
-// maps. A blob written here is unreferenced (and GC-sweepable) until
-// some record's Profiles or ArtifactBlobs names its digest.
-func (r *Registry) PutBlob(data []byte) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.index == nil {
-		return "", fmt.Errorf("runlog: registry is closed")
-	}
-	return r.blobs.Put(data)
-}
-
-// ReadBlob returns the digest-verified bytes of one blob — profile
-// captures are digest-addressed rather than run-addressed, so readers
-// resolve them here.
+// ReadBlob returns the digest-verified bytes of one blob — the profiles
+// of a diagnostic bundle are digest-addressed rather than run-addressed,
+// so readers resolve them here.
 func (r *Registry) ReadBlob(digest string) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -834,92 +741,6 @@ func (r *Registry) ReadBlob(digest string) ([]byte, error) {
 		return nil, fmt.Errorf("runlog: registry is closed")
 	}
 	return r.blobs.Read(digest)
-}
-
-// totalStageMicros sums a record's Table 1 stage wall times — the
-// "how slow was this run" quantity the retention slow gate ranks.
-func totalStageMicros(rec *Record) float64 {
-	var total float64
-	for _, st := range rec.Steps {
-		if st.Micros > 0 {
-			total += st.Micros
-		}
-	}
-	return total
-}
-
-// observeDurationLocked feeds one record's total stage wall time into
-// the per-graph-key history behind the retention slow gate. No-op when
-// retention is off or the record carries no timings. Caller holds r.mu
-// (or is Open, before the registry is shared).
-func (r *Registry) observeDurationLocked(rec *Record) {
-	if r.durByKey == nil || rec.GraphKey == "" {
-		return
-	}
-	total := totalStageMicros(rec)
-	if total <= 0 {
-		return
-	}
-	h, ok := r.durByKey[rec.GraphKey]
-	if !ok {
-		h = obs.NewHistogram(retentionBuckets()...)
-		r.durByKey[rec.GraphKey] = h
-	}
-	h.Observe(total)
-}
-
-// applyTraceRetention applies the tail-based retention policy to a
-// run's artifact list: the trace artifact survives only when the run is
-// worth a trace — degraded, deadlocked, errored, regression-tagged,
-// slow for its graph key (top SlowQuantile of the key's history), an
-// always-keep sample, or during a key's warm-up (too little history to
-// judge). Every other artifact passes through untouched, and the
-// decision is recorded on the record (TraceRetained) and the kept/
-// dropped counters. Caller holds r.mu.
-func (r *Registry) applyTraceRetention(rec *Record, artifacts []Artifact) []Artifact {
-	pol := r.opt.TraceRetention
-	if pol == nil {
-		return artifacts
-	}
-	traceAt := -1
-	for i, a := range artifacts {
-		if filepath.Base(a.Name) == traceArtifactName {
-			traceAt = i
-			break
-		}
-	}
-	// The history learns from every timed run, kept or not — but only
-	// after this run's own decision, so the gate ranks against prior
-	// runs and replays stay order-deterministic.
-	defer r.observeDurationLocked(rec)
-	if traceAt < 0 {
-		return artifacts
-	}
-
-	reason := ""
-	switch {
-	case rec.Outcome == "degraded" || rec.Outcome == "deadlock" || rec.Outcome == "error":
-		reason = rec.Outcome
-	case rec.Regression != nil && rec.Regression.Regressed:
-		reason = "regressed"
-	case pol.SampleEvery > 0 && rec.Seq%pol.SampleEvery == 0:
-		reason = "sample"
-	default:
-		h := r.durByKey[rec.GraphKey]
-		switch {
-		case h == nil || h.Count() < uint64(pol.MinHistory):
-			reason = "warmup"
-		case totalStageMicros(rec) >= h.Quantile(pol.SlowQuantile):
-			reason = "slow"
-		}
-	}
-	if reason == "" {
-		r.tracesDropped.Add(1)
-		return append(artifacts[:traceAt:traceAt], artifacts[traceAt+1:]...)
-	}
-	rec.TraceRetained = reason
-	r.tracesKept.Add(1)
-	return artifacts
 }
 
 // appendLine writes one record to the index and syncs it to disk. A

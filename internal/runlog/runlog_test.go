@@ -609,3 +609,69 @@ func TestArtifactDedupAcrossRuns(t *testing.T) {
 		t.Fatalf("shared blob lost by GC: %v", err)
 	}
 }
+
+// timedRecord is a flow record with one stage of the given wall time
+// and a trace artifact attached by the caller.
+func timedRecord(graphKey, outcome string, micros float64) Record {
+	return Record{
+		Kind: "flow", App: "mjpeg", GraphKey: graphKey, Outcome: outcome,
+		Bound: 0.01,
+		Steps: []StageTime{{Name: "Executing on platform", Micros: micros}},
+	}
+}
+
+func traceArt() Artifact { return Artifact{Name: "trace.json", Data: []byte(`{"traceEvents":[]}`)} }
+
+// TestRetentionOffKeepsEverything pins that Append stores every trace
+// artifact it is given: the registry has no trace retention policy, and
+// nothing sets the read-only TraceRetained field.
+func TestRetentionOffKeepsEverything(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec, err := r.Append(timedRecord("gkey", "ok", 10), traceArt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Artifacts) != 1 || rec.TraceRetained != "" {
+		t.Fatalf("Append altered artifacts: %+v", rec)
+	}
+	if _, err := r.ReadArtifact(rec.ID, "trace.json"); err != nil {
+		t.Fatalf("trace not stored: %v", err)
+	}
+}
+
+// TestFilterDegradedAndUntil covers the filter parity fields backing
+// `mamps-runs list` and GET /v1/runs.
+func TestFilterDegradedAndUntil(t *testing.T) {
+	clk := &clock.Fake{}
+	r, err := Open(t.TempDir(), Options{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var times []time.Time
+	for i, outcome := range []string{"ok", "degraded", "ok"} {
+		clk.Advance(time.Hour)
+		rec, err := r.Append(timedRecord("gkey", outcome, float64(100*(i+1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		times = append(times, rec.Time)
+	}
+
+	recs, total := r.List(Filter{Degraded: true})
+	if total != 1 || recs[0].Outcome != "degraded" {
+		t.Fatalf("Degraded filter = %d matches: %+v", total, recs)
+	}
+	if _, total = r.List(Filter{Until: times[1]}); total != 1 {
+		t.Errorf("Until (exclusive) = %d matches, want 1", total)
+	}
+	if _, total = r.List(Filter{Since: times[1], Until: times[2]}); total != 1 {
+		t.Errorf("window = %d matches, want 1", total)
+	}
+}

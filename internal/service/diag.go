@@ -1,7 +1,7 @@
 package service
 
 // Adaptive diagnostics surface of the service: a flight recorder keeps
-// the most recent request/anomaly events in a fixed ring, and a dump —
+// the most recent request events in a fixed ring, and a dump —
 // triggered by a handler panic, a structured deadlock (422), SIGQUIT
 // (via DumpDiagnostics from mamps-serve) or POST /debug/dump — captures
 // the ring together with kernel counters, the SLO board state and
@@ -15,7 +15,6 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"time"
 
 	"mamps/internal/obs"
 	"mamps/internal/obs/diag"
@@ -28,20 +27,6 @@ var gcPauseBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1,
 }
 
-// dumpCPUDuration resolves the CPU-profile duration of a dump: the
-// configured sampler duration, its default when unset, nothing when
-// disabled.
-func (s *Server) dumpCPUDuration() time.Duration {
-	d := s.cfg.ProfileCPUDuration
-	if d == 0 {
-		d = 200 * time.Millisecond
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // diagCounters snapshots the service-level counters a bundle carries.
 func (s *Server) diagCounters() map[string]int64 {
 	st := s.Stats()
@@ -51,7 +36,6 @@ func (s *Server) diagCounters() map[string]int64 {
 		"cacheEntries": int64(st.Cache.Entries),
 		"cacheHits":    int64(st.Cache.Hits),
 		"cacheMisses":  int64(st.Cache.Misses),
-		"anomalies":    s.anomalies.Value(),
 	}
 }
 
@@ -73,7 +57,7 @@ func (s *Server) dumpDiagnostics(ctx context.Context, reason, deadlock string) (
 		SLO:        s.slos.States(),
 		Deadlock:   deadlock,
 		Profiles:   true,
-		CPUProfile: s.dumpCPUDuration(),
+		CPUProfile: s.dumpCPU,
 	})
 	data, err := bundle.Marshal()
 	if err != nil {
@@ -114,10 +98,6 @@ func (s *Server) DumpDiagnostics(reason string) string {
 	id, _ := s.dumpDiagnostics(context.Background(), reason, "")
 	return id
 }
-
-// Sampler exposes the background profile sampler (nil when disabled);
-// tests drive Tick directly.
-func (s *Server) Sampler() *diag.Sampler { return s.sampler }
 
 // handleDebugDump is POST /debug/dump: an on-demand diagnostic dump.
 func (s *Server) handleDebugDump(w http.ResponseWriter, r *http.Request) {

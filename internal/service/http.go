@@ -118,7 +118,7 @@ func (s *Server) instrument(endpoint string, fn http.HandlerFunc) http.HandlerFu
 			// time and not by a server-side failure. Client errors (4xx)
 			// are the caller's problem, not budget burn.
 			if endpoint == "analyze" || endpoint == "flow" || endpoint == "dse" {
-				s.sloLatency.Observe(elapsed <= s.cfg.SLOLatencyTarget && rec.code < 500)
+				s.sloLatency.Observe(elapsed <= sloLatencyTarget && rec.code < 500)
 			}
 			level := slog.LevelInfo
 			if endpoint == "healthz" || endpoint == "readyz" {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mamps/internal/arch"
 	"mamps/internal/faults"
 	"mamps/internal/modelio"
 	"mamps/internal/sim"
@@ -239,6 +240,58 @@ func TestRepetitionVectorOverflowRejected(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after overflowing models: %d", hr.StatusCode)
+	}
+}
+
+// TestFIFODepthCapRejected: an archXML whose FSL FIFO depth exceeds
+// arch.MaxFIFODepth gets a 422 naming the depth and the cap within
+// 100 ms, instead of a state space sized by the depth (4,000,000 words
+// exhausted the heap before the cap existed); /healthz stays 200.
+func TestFIFODepthCapRejected(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 8, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	plat, err := arch.DefaultTemplate().Generate("fsl3", 3, arch.FSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := modelio.WriteArch(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`fifoDepth="%d"`, plat.Interconnect.FIFODepth)
+	bad := strings.Replace(string(doc), want, `fifoDepth="4000000"`, 1)
+	if bad == string(doc) {
+		t.Fatalf("%s not in the generated platform:\n%s", want, doc)
+	}
+	archJSON, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, data := post(t, ts, "/v1/flow",
+		`{"workload":`+smallMJPEG+`,"archXML":`+string(archJSON)+`,"iterations":1}`)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, data)
+	}
+	var e modelio.ErrorJSON
+	if err := json.Unmarshal(data, &e); err != nil ||
+		!strings.Contains(e.Error, "4000000") || !strings.Contains(e.Error, fmt.Sprint(arch.MaxFIFODepth)) {
+		t.Errorf("error does not name the depth and the cap: %s", data)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("answered in %v, want within 100ms", elapsed)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the oversized FIFO: %d", hr.StatusCode)
 	}
 }
 

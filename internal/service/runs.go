@@ -31,7 +31,6 @@ import (
 	"mamps/internal/flow"
 	"mamps/internal/modelio"
 	"mamps/internal/obs"
-	"mamps/internal/obs/diag"
 	"mamps/internal/runlog"
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
@@ -226,12 +225,6 @@ func (s *Server) appendRun(ctx context.Context, rec runlog.Record, artifacts []r
 	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
 		rec.TraceID, rec.SpanID = tc.TraceID, tc.SpanID
 	}
-	if rec.Profiles == nil {
-		// During an SLO burn window the record carries the freshest
-		// sampler capture's profile digests: the profile of the process
-		// while things were going wrong, addressable in the blob store.
-		rec.Profiles = s.sampler.BurnDigests()
-	}
 	stored, err := s.runlog.Append(rec, artifacts...)
 	if err != nil {
 		s.log.Error("runlog append failed", "kind", rec.Kind, "app", rec.App, "err", err)
@@ -243,21 +236,6 @@ func (s *Server) appendRun(ctx context.Context, rec runlog.Record, artifacts []r
 			"run", stored.ID, "baseline", stored.Regression.BaselineID,
 			"baselineKey", stored.Regression.BaselineKey,
 			"reasons", strings.Join(stored.Regression.Reasons, "; "))
-	}
-	// The streaming drift detector scores every appended record against
-	// its group's rolling profile — no frozen baseline needed. Appends
-	// are chronological by construction, which is what the EWMA wants.
-	s.anomalyMu.Lock()
-	flagged := s.anomaly.Add(&stored)
-	s.anomalyMu.Unlock()
-	if len(flagged) > 0 {
-		s.anomalies.Add(int64(len(flagged)))
-		s.recorder.Record(diag.KindEvent, "anomaly", stored.ID)
-		for _, a := range flagged {
-			s.log.Warn("run drifted from its rolling profile",
-				"run", a.RunID, "metric", a.Metric, "key", a.Key,
-				"value", a.Value, "mean", a.Mean, "score", a.Score)
-		}
 	}
 	// Every recorded run is a regression-free SLO event; runs carrying a
 	// throughput constraint also feed the throughput_met objective.

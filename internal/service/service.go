@@ -33,7 +33,6 @@ import (
 	"mamps/internal/clock"
 	"mamps/internal/faults"
 	"mamps/internal/obs"
-	"mamps/internal/obs/agg"
 	"mamps/internal/obs/diag"
 	"mamps/internal/obs/slo"
 	"mamps/internal/runlog"
@@ -81,47 +80,6 @@ type Config struct {
 	// to the service's /metrics exposition. Cache hits replay a stored
 	// computation and do not append new runs.
 	RunLog *runlog.Registry
-	// SLOLatencyTarget is the request-latency bound of the
-	// "analyze_latency" objective: a compute request (analyze/flow/dse)
-	// answered within the bound is a good event (default 2s). The
-	// objective targets SLOLatencyGoal (default 0.99). The board's
-	// burn-rate and budget series are published as mamps_slo_* on
-	// /metrics.
-	SLOLatencyTarget time.Duration
-	SLOLatencyGoal   float64
-	// SLOThroughputGoal is the target fraction of recorded runs with a
-	// throughput constraint whose guaranteed bound meets it (objective
-	// "throughput_met", default 0.95); SLORegressionGoal the target
-	// fraction of recorded runs not tagged as regressions (objective
-	// "regression_free", default 0.99). Both objectives only observe
-	// events when a run registry is attached.
-	SLOThroughputGoal float64
-	SLORegressionGoal float64
-	// FlightRecorderSize is the event capacity of the in-process flight
-	// recorder whose ring every diagnostic bundle snapshots (default
-	// 256; negative disables the recorder).
-	FlightRecorderSize int
-	// MutexProfileFraction and BlockProfileRate tune the runtime's
-	// mutex-contention and blocking profiles, applied only when
-	// EnablePprof is set (the profiles are served under /debug/pprof/).
-	// Defaults: fraction 100 (1 in 100 contention events), rate 1e6
-	// (one sample per millisecond blocked). Negative leaves the runtime
-	// default untouched.
-	MutexProfileFraction int
-	BlockProfileRate     int
-	// ProfilePeriod is the steady-state period of the background
-	// profile-on-burn sampler (default 60s; negative disables the
-	// sampler). ProfileBurnPeriod is the escalated period while any SLO
-	// objective is burning (default 5s). ProfileRing bounds the retained
-	// captures (default 4). ProfileCPUDuration is the length of each CPU
-	// capture (default 200ms; negative captures heap only). The sampler
-	// runs only when a run registry is attached: profile bytes are
-	// stored as content-addressed blobs, and records appended during a
-	// burn window carry the freshest capture's digests.
-	ProfilePeriod      time.Duration
-	ProfileBurnPeriod  time.Duration
-	ProfileRing        int
-	ProfileCPUDuration time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -146,29 +104,38 @@ func (c Config) withDefaults() Config {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 25 * time.Millisecond
 	}
-	if c.SLOLatencyTarget <= 0 {
-		c.SLOLatencyTarget = 2 * time.Second
-	}
-	if c.SLOLatencyGoal <= 0 || c.SLOLatencyGoal >= 1 {
-		c.SLOLatencyGoal = 0.99
-	}
-	if c.SLOThroughputGoal <= 0 || c.SLOThroughputGoal >= 1 {
-		c.SLOThroughputGoal = 0.95
-	}
-	if c.SLORegressionGoal <= 0 || c.SLORegressionGoal >= 1 {
-		c.SLORegressionGoal = 0.99
-	}
-	if c.FlightRecorderSize == 0 {
-		c.FlightRecorderSize = 256
-	}
-	if c.MutexProfileFraction == 0 {
-		c.MutexProfileFraction = 100
-	}
-	if c.BlockProfileRate == 0 {
-		c.BlockProfileRate = 1_000_000
-	}
 	return c
 }
+
+// Fixed operating settings of the SLO board and the diagnostics. Each
+// has one value in use, so none is configurable.
+const (
+	// sloLatencyTarget is the request-latency bound of the
+	// "analyze_latency" objective: a compute request (analyze/flow/dse)
+	// answered within it is a good event. sloLatencyGoal is the
+	// objective's target fraction of good events.
+	sloLatencyTarget = 2 * time.Second
+	sloLatencyGoal   = 0.99
+	// sloThroughputGoal is the target fraction of recorded runs with a
+	// throughput constraint whose guaranteed bound meets it (objective
+	// "throughput_met"); sloRegressionGoal the target fraction of
+	// recorded runs not tagged as regressions ("regression_free"). Both
+	// objectives only observe events when a run registry is attached.
+	sloThroughputGoal = 0.95
+	sloRegressionGoal = 0.99
+	// flightRecorderSize is the event capacity of the flight recorder
+	// whose ring every diagnostic bundle snapshots.
+	flightRecorderSize = 256
+	// mutexProfileFraction and blockProfileRate tune the runtime's
+	// mutex-contention and blocking profiles when EnablePprof is set
+	// (served under /debug/pprof/): 1 in 100 contention events, one
+	// sample per millisecond blocked.
+	mutexProfileFraction = 100
+	blockProfileRate     = 1_000_000
+	// dumpCPUDuration is the length of the CPU profile every diagnostic
+	// dump captures.
+	dumpCPUDuration = 200 * time.Millisecond
+)
 
 // Errors reported by submit and mapped to HTTP status codes by the
 // handlers.
@@ -219,14 +186,10 @@ type Server struct {
 	sloThroughput *slo.Tracker
 	sloRegression *slo.Tracker
 
-	recorder      *diag.Recorder // flight recorder; nil when disabled
-	sampler       *diag.Sampler  // profile-on-burn; nil without a runlog
-	samplerCancel context.CancelFunc
-	samplerDone   chan struct{}
-
-	anomalyMu sync.Mutex    // the drift detector's EWMA state is order-sensitive
-	anomaly   *agg.Detector // streaming run-lake drift scoring
-	anomalies *obs.Counter  // mamps_anomalies_total
+	recorder *diag.Recorder // flight recorder
+	// dumpCPU is the CPU-profile length of a diagnostic dump
+	// (dumpCPUDuration; tests set 0 for fast heap-only dumps).
+	dumpCPU time.Duration
 
 	gcPause   *obs.Histogram // mamps_gc_pause_seconds, fed at scrape time
 	lastNumGC atomic.Uint32
@@ -268,6 +231,7 @@ func New(cfg Config) *Server {
 			Warm:     obs.NewWarmStats(reg),
 		},
 		runlog:  cfg.RunLog,
+		dumpCPU: dumpCPUDuration,
 		baseCtx: ctx,
 		abort:   abort,
 		jobs:    make(chan *job, cfg.QueueDepth),
@@ -277,51 +241,24 @@ func New(cfg Config) *Server {
 	}
 	s.slos = slo.NewBoard(cfg.Clock)
 	s.sloLatency = s.slos.Add(slo.Objective{
-		Name: "analyze_latency", Target: cfg.SLOLatencyGoal,
-		Help: fmt.Sprintf("Compute requests answered within %v.", cfg.SLOLatencyTarget),
+		Name: "analyze_latency", Target: sloLatencyGoal,
+		Help: fmt.Sprintf("Compute requests answered within %v.", sloLatencyTarget),
 	})
 	s.sloThroughput = s.slos.Add(slo.Objective{
-		Name: "throughput_met", Target: cfg.SLOThroughputGoal,
+		Name: "throughput_met", Target: sloThroughputGoal,
 		Help: "Recorded runs whose guaranteed bound meets their throughput constraint.",
 	})
 	s.sloRegression = s.slos.Add(slo.Objective{
-		Name: "regression_free", Target: cfg.SLORegressionGoal,
+		Name: "regression_free", Target: sloRegressionGoal,
 		Help: "Recorded runs not tagged by the baseline regression detector.",
 	})
-	if cfg.FlightRecorderSize > 0 {
-		s.recorder = diag.NewRecorder(cfg.FlightRecorderSize,
-			diag.WithNow(func() int64 { return s.clk.Now().UnixNano() }))
-	}
-	s.anomaly = agg.NewDetector(agg.AnomalyConfig{})
-	s.anomalies = reg.Counter("mamps_anomalies_total",
-		"Recorded runs flagged by the run-lake drift detector.")
+	s.recorder = diag.NewRecorder(flightRecorderSize,
+		diag.WithNow(func() int64 { return s.clk.Now().UnixNano() }))
 	s.gcPause = reg.RegisterHistogram("mamps_gc_pause_seconds",
 		"Stop-the-world GC pause durations.", obs.NewHistogram(gcPauseBuckets...))
 	if cfg.EnablePprof {
-		if cfg.MutexProfileFraction > 0 {
-			runtime.SetMutexProfileFraction(cfg.MutexProfileFraction)
-		}
-		if cfg.BlockProfileRate > 0 {
-			runtime.SetBlockProfileRate(cfg.BlockProfileRate)
-		}
-	}
-	if s.runlog != nil && cfg.ProfilePeriod >= 0 {
-		s.sampler = diag.NewSampler(diag.SamplerConfig{
-			Ring:        cfg.ProfileRing,
-			BasePeriod:  cfg.ProfilePeriod,
-			BurnPeriod:  cfg.ProfileBurnPeriod,
-			CPUDuration: cfg.ProfileCPUDuration,
-			Burning:     s.slos.Burning,
-			Sink:        s.runlog.PutBlob,
-			NowNS:       func() int64 { return s.clk.Now().UnixNano() },
-		})
-		sctx, cancel := context.WithCancel(context.Background())
-		s.samplerCancel = cancel
-		s.samplerDone = make(chan struct{})
-		go func() {
-			defer close(s.samplerDone)
-			s.sampler.Run(sctx)
-		}()
+		runtime.SetMutexProfileFraction(mutexProfileFraction)
+		runtime.SetBlockProfileRate(blockProfileRate)
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -482,9 +419,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		close(s.jobs)
-		if s.samplerCancel != nil {
-			s.samplerCancel()
-		}
 		s.log.Info("service draining", "queued", s.depth.Load())
 	}
 	s.mu.Unlock()
@@ -492,9 +426,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		if s.samplerDone != nil {
-			<-s.samplerDone
-		}
 		s.stopped.Store(true)
 		close(done)
 	}()

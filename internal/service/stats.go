@@ -35,7 +35,6 @@ func statsQuery(r *http.Request) (agg.Query, error) {
 		"deadlocked": &q.Deadlocked,
 		"regressed":  &q.Regressed,
 		"faulted":    &q.Faulted,
-		"anomalies":  &q.Anomalies,
 	} {
 		switch v := qp.Get(name); v {
 		case "", "false", "0":
@@ -69,13 +68,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	recs, _ := s.runlog.List(runlog.Filter{})
-	if q.Anomalies {
-		// List returns newest-first; the drift detector's EWMA needs the
-		// records in chronological order.
-		for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
-			recs[i], recs[j] = recs[j], recs[i]
-		}
-	}
 	rep, err := agg.Aggregate(recs, q)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{Error: err.Error(), Kind: "validation"})

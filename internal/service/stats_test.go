@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"mamps/internal/obs"
 	"mamps/internal/obs/agg"
+	"mamps/internal/obs/promtest"
 	"mamps/internal/runlog"
 )
 
@@ -142,16 +142,20 @@ func TestMetricsSLOAndChecker(t *testing.T) {
 		`mamps_slo_burn_rate{slo="analyze_latency",window="slow"}`,
 		`mamps_slo_budget_used{slo=`,
 		`mamps_slo_burning{slo=`,
-		"mamps_runlog_traces_kept_total",
-		"mamps_runlog_traces_dropped_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// The trace-retention and drift-detector series are gone.
+	for _, gone := range []string{"mamps_runlog_traces_", "mamps_anomalies_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("/metrics still exports %q", gone)
+		}
+	}
 	// The whole exposition — gauges, counters, histograms, SLO board —
 	// must be well-formed Prometheus text.
-	if err := obs.CheckPrometheusText(strings.NewReader(out)); err != nil {
+	if err := promtest.CheckPrometheusText(strings.NewReader(out)); err != nil {
 		t.Errorf("/metrics fails the line-format checker: %v", err)
 	}
 }
