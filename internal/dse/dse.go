@@ -163,7 +163,7 @@ func SweepContext(ctx context.Context, app *appmodel.App, cfg Config) ([]Point, 
 		// cache (or, without one, just make it cancellable). The trace
 		// stays out: parallel workers' analyses would overlap on one
 		// "statespace" track.
-		tel := &obs.Set{Explorer: cfg.Obs.ExplorerOf(), Warm: cfg.Obs.WarmOf()}
+		tel := &obs.Set{Explorer: cfg.Obs.ExplorerOf(), Warm: cfg.Obs.WarmOf(), Record: cfg.Obs.RecordOf()}
 		mo.Analyze = cache.Analyzer(cfg.Cache, ctx, tel)
 	}
 

@@ -526,6 +526,10 @@ type Set struct {
 	Sim      *SimStats
 	Solver   *SolverStats
 	Warm     *WarmStats
+	// Record, when set, receives a recorded run's explorer counters as a
+	// cold run on a private, empty analysis memo would count them, while
+	// Explorer counts the explorations actually run (see cache.Analyzer).
+	Record *ExplorerStats
 }
 
 // TraceOf returns the set's trace, tolerating a nil set.
@@ -566,4 +570,13 @@ func (s *Set) WarmOf() *WarmStats {
 		return nil
 	}
 	return s.Warm
+}
+
+// RecordOf returns the set's recorded-run explorer stats, tolerating a
+// nil set.
+func (s *Set) RecordOf() *ExplorerStats {
+	if s == nil {
+		return nil
+	}
+	return s.Record
 }

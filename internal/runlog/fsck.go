@@ -191,7 +191,8 @@ func Fsck(dir string, opt FsckOptions) (*Report, error) {
 	}
 	for i := range okRecs {
 		rec := &okRecs[i]
-		for name, d := range rec.ArtifactBlobs {
+		for _, b := range rec.ArtifactBlobs {
+			name, d := b.Name, b.Digest
 			if _, perr := bs.Path(d); perr != nil {
 				pr := Problem{RecordID: rec.ID, Blob: d, Kind: "blob-missing",
 					Detail: fmt.Sprintf("artifact %q: %v", name, perr)}

@@ -99,7 +99,7 @@ func TestFsckNamesAndRepairsCorruptBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := rec.ArtifactBlobs["trace.json"]
+	digest, _ := rec.ArtifactBlobs.Get("trace.json")
 	blobPath, err := r.blobs.Path(digest)
 	if err != nil {
 		t.Fatal(err)

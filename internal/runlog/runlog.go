@@ -39,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -123,7 +124,7 @@ type Record struct {
 	// which their bytes live in the content-addressed blob store
 	// (blobs/<aa>/<digest>). Records predating the blob store keep their
 	// artifacts under runs/<id>/ and have no entries here.
-	ArtifactBlobs map[string]string `json:"artifactBlobs,omitempty"`
+	ArtifactBlobs BlobRefs `json:"artifactBlobs,omitempty"`
 
 	// TraceID and SpanID are the W3C trace-context identifiers of the
 	// request that produced the run, when it arrived (or was issued) with
@@ -152,6 +153,75 @@ type Record struct {
 	// adopts them into the chain.
 	PrevHash   string `json:"prevHash,omitempty"`
 	RecordHash string `json:"recordHash,omitempty"`
+}
+
+// BlobRefs maps names to blob digests as a slice sorted by name: a
+// retained record holds it for far less memory than a map, and it
+// marshals to the JSON object a map[string]string would, so the ledger
+// hashes the same bytes.
+type BlobRefs []BlobRef
+
+// BlobRef is one name and the digest of its blob.
+type BlobRef struct {
+	Name, Digest string
+}
+
+// Get returns the digest stored under name.
+func (b BlobRefs) Get(name string) (string, bool) {
+	for _, r := range b {
+		if r.Name == name {
+			return r.Digest, true
+		}
+	}
+	return "", false
+}
+
+// set stores digest under name, replacing an earlier entry, and keeps
+// the refs sorted.
+func (b *BlobRefs) set(name, digest string) {
+	i, found := slices.BinarySearchFunc(*b, name, func(r BlobRef, name string) int { return strings.Compare(r.Name, name) })
+	if found {
+		(*b)[i].Digest = digest
+		return
+	}
+	*b = slices.Insert(*b, i, BlobRef{Name: name, Digest: digest})
+}
+
+// MarshalJSON writes the refs as a JSON object keyed by name.
+func (b BlobRefs) MarshalJSON() ([]byte, error) {
+	if b == nil {
+		return []byte("null"), nil
+	}
+	out := []byte{'{'}
+	for i, r := range b {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		k, _ := json.Marshal(r.Name)
+		v, _ := json.Marshal(r.Digest)
+		out = append(append(append(out, k...), ':'), v...)
+	}
+	return append(out, '}'), nil
+}
+
+// UnmarshalJSON reads a JSON object keyed by name; of duplicate names
+// the last wins, as in a map.
+func (b *BlobRefs) UnmarshalJSON(data []byte) error {
+	var m map[string]string
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*b = nil
+		return nil
+	}
+	refs := make(BlobRefs, 0, len(m))
+	for name, digest := range m {
+		refs = append(refs, BlobRef{Name: name, Digest: digest})
+	}
+	slices.SortFunc(refs, func(x, y BlobRef) int { return strings.Compare(x.Name, y.Name) })
+	*b = refs
+	return nil
 }
 
 // FormatChained marks records whose index line participates in the
@@ -320,8 +390,10 @@ type Registry struct {
 	recs      []Record
 	byID      map[string]int
 	baselines map[string]Record
-	seq       int64
-	index     *os.File
+	// keys interns the graph and baseline keys of appended records.
+	keys  map[string]string
+	seq   int64
+	index *os.File
 
 	// indexLen is the byte length of the intact index — the truncation
 	// target when an append fails partway (self-healing torn appends).
@@ -371,6 +443,7 @@ func Open(dir string, opt Options) (*Registry, error) {
 		dir: dir, clk: opt.Clock, opt: opt,
 		byID:      make(map[string]int),
 		baselines: make(map[string]Record),
+		keys:      make(map[string]string),
 		tree:      &ledger.Tree{},
 		tip:       ledger.Genesis(),
 		records:   &obs.Gauge{}, regressions: &obs.Counter{}, gcRemoved: &obs.Counter{},
@@ -635,6 +708,22 @@ func (rec *Record) baselineKey() string {
 	return "graph/" + rec.GraphKey
 }
 
+// internLimit bounds Registry.keys; the table starts over when full.
+const internLimit = 4096
+
+// intern returns the registry's copy of s, so the retained records of
+// one graph or baseline share one string.
+func (r *Registry) intern(s string) string {
+	if v, ok := r.keys[s]; ok {
+		return v
+	}
+	if len(r.keys) >= internLimit {
+		clear(r.keys)
+	}
+	r.keys[s] = s
+	return s
+}
+
 // shortKey abbreviates a graph key for run IDs, sanitized so minted
 // IDs always satisfy ValidID: anything outside [0-9a-z] becomes '-',
 // so a graph key can never smuggle a path separator or dot into an ID
@@ -689,14 +778,14 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 	// next GC sweeps, never a dangling index entry. Identical artifact
 	// bytes across runs share one blob.
 	if len(artifacts) > 0 {
-		rec.ArtifactBlobs = make(map[string]string, len(artifacts))
+		rec.ArtifactBlobs = make(BlobRefs, 0, len(artifacts))
 		for _, a := range artifacts {
 			name := filepath.Base(a.Name) // no path traversal out of the store
 			digest, err := r.blobs.Put(a.Data)
 			if err != nil {
 				return Record{}, fmt.Errorf("runlog: artifact %s: %w", name, err)
 			}
-			rec.ArtifactBlobs[name] = digest
+			rec.ArtifactBlobs.set(name, digest)
 			rec.Artifacts = append(rec.Artifacts, name)
 		}
 		sort.Strings(rec.Artifacts)
@@ -712,6 +801,13 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 	h := ledger.Link(r.tip, content)
 	rec.PrevHash = r.tip.Hex()
 	rec.RecordHash = h.Hex()
+	// A retained record lives as long as retention keeps it: share the
+	// previous record's hash string and the keys earlier records carry.
+	if n := len(r.recs); n > 0 && r.recs[n-1].RecordHash == rec.PrevHash {
+		rec.PrevHash = r.recs[n-1].RecordHash
+	}
+	rec.GraphKey = r.intern(rec.GraphKey)
+	rec.BaselineKey = r.intern(rec.BaselineKey)
 
 	if err := r.appendLine(rec); err != nil {
 		return Record{}, err
@@ -797,7 +893,7 @@ func (r *Registry) ArtifactPath(id, name string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("runlog: no run %q", id)
 	}
-	if digest, ok := rec.ArtifactBlobs[name]; ok {
+	if digest, ok := rec.ArtifactBlobs.Get(name); ok {
 		return r.blobs.Path(digest)
 	}
 	for _, a := range rec.Artifacts {
@@ -819,7 +915,7 @@ func (r *Registry) ReadArtifact(id, name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("runlog: no run %q", id)
 	}
-	if digest, ok := rec.ArtifactBlobs[name]; ok {
+	if digest, ok := rec.ArtifactBlobs.Get(name); ok {
 		data, err := r.blobs.Read(digest)
 		if err != nil {
 			return nil, fmt.Errorf("runlog: run %s artifact %q: %w", id, name, err)
@@ -1069,8 +1165,8 @@ func (r *Registry) gcLocked() (int, error) {
 	// a crash between blob write and index append, crashed-Put debris).
 	refs := make(map[string]int)
 	for i := range keep {
-		for _, d := range keep[i].ArtifactBlobs {
-			refs[d]++
+		for _, b := range keep[i].ArtifactBlobs {
+			refs[b.Digest]++
 		}
 		for _, d := range keep[i].Profiles {
 			refs[d]++

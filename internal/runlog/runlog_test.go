@@ -588,7 +588,9 @@ func TestArtifactDedupAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ArtifactBlobs["trace.json"] != b.ArtifactBlobs["trace.json"] {
+	da, _ := a.ArtifactBlobs.Get("trace.json")
+	db, _ := b.ArtifactBlobs.Get("trace.json")
+	if da != db {
 		t.Fatalf("identical artifacts not deduplicated: %v %v", a.ArtifactBlobs, b.ArtifactBlobs)
 	}
 	digests, _, err := r.blobs.List()
@@ -673,5 +675,52 @@ func TestFilterDegradedAndUntil(t *testing.T) {
 	}
 	if _, total = r.List(Filter{Since: times[1], Until: times[2]}); total != 1 {
 		t.Errorf("window = %d matches, want 1", total)
+	}
+}
+
+// TestBlobRefsMarshalLikeMap: BlobRefs reads and writes the JSON object
+// the map[string]string it replaced did, so stored records re-marshal to
+// the bytes their chain hash covers.
+func TestBlobRefsMarshalLikeMap(t *testing.T) {
+	for _, m := range []map[string]string{
+		nil,
+		{},
+		{"trace.json": "ab12"},
+		{"trace.json": "ab12", "deadlock.txt": "cd34", "<a>&b ": "\"q\"", "": "e"},
+	} {
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refs BlobRefs
+		if err := json.Unmarshal(want, &refs); err != nil {
+			t.Fatalf("unmarshal %s: %v", want, err)
+		}
+		for name, digest := range m {
+			if got, ok := refs.Get(name); !ok || got != digest {
+				t.Errorf("%s: Get(%q) = %q, %v", want, name, got, ok)
+			}
+		}
+		got, err := json.Marshal(refs)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("marshal = %s, %v; want %s", got, err, want)
+		}
+		// In a record, empty refs are omitted like an empty map.
+		gotRec, _ := json.Marshal(Record{ArtifactBlobs: refs})
+		wantRec, _ := json.Marshal(struct {
+			Record
+			ArtifactBlobs map[string]string `json:"artifactBlobs,omitempty"`
+		}{ArtifactBlobs: m})
+		if bytes.Contains(gotRec, []byte("artifactBlobs")) != bytes.Contains(wantRec, []byte("artifactBlobs")) {
+			t.Errorf("record %s vs map form %s", gotRec, wantRec)
+		}
+	}
+	// Duplicate names: the last wins, as in a map.
+	var refs BlobRefs
+	if err := json.Unmarshal([]byte(`{"a":"1","b":"2","a":"3"}`), &refs); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(refs); string(got) != `{"a":"3","b":"2"}` {
+		t.Errorf("duplicates: %s", got)
 	}
 }

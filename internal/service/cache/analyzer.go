@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash"
-	"slices"
 	"sync"
 
 	"mamps/internal/obs"
@@ -20,14 +19,19 @@ type memo struct {
 	// tiles holds the schedules' tile labels when res carries a deadlock
 	// report, the only output that prints them.
 	tiles []string
-	res   statespace.Result
+	// res is the Result without its MaxTokens, which maxTokens holds
+	// varint-packed: token counts are small, and a memo entry lives as
+	// long as the cache keeps it.
+	res       statespace.Result
+	maxTokens []byte
 }
 
 // Analyzer returns the state-space analysis entry point, suitable for the
 // mapping and buffer Analyze hooks. It threads ctx into the exploration
 // so long analyses are cancellable, publishes the explorer counters of
-// tel and records one span per exploration on its trace's "statespace"
-// track.
+// explorations it runs into tel.Explorer and records one span per lookup
+// on its trace's "statespace" track (flagged memo=true when the memo
+// answered).
 //
 // With a non-nil c, analyses are memoized in c, single-flight, under
 // their exact key: a request that matches a prior analysis gets its
@@ -38,35 +42,68 @@ type memo struct {
 // stats as exactly one of exact or miss.
 //
 // A nil c is a cold analysis with the same cancellation and telemetry.
+//
+// With a non-nil tel.Record, the analyzer is one recorded run's, and
+// tel.Record receives the explorer counters a cold run on a private,
+// empty memo would publish, whatever earlier requests left in c: each
+// distinct key the run analyzes counts once, from its Result, whether
+// it was explored or answered by the memo, and again only where that
+// private memo would refuse reuse; an interrupted lookup counts in
+// Interrupted. tel.Explorer still counts only the explorations actually
+// run.
 func Analyzer(c *Cache, ctx context.Context, tel *obs.Set) func(*sdf.Graph, statespace.Options) (statespace.Result, error) {
 	explorer := tel.ExplorerOf()
 	scope := tel.TraceOf().Scope("statespace")
+	run := newRunCounts(tel.RecordOf())
 	cold := func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
 		opt.Interrupt = ctx.Done()
 		opt.Telemetry = explorer
-		span := scope.Begin("analyze", obs.String("graph", g.Name))
-		r, err := statespace.Analyze(g, opt)
-		span.SetAttrs(
-			obs.Int("states", int64(r.StatesExplored)),
-			obs.Float("throughput", r.Throughput),
-			obs.Bool("deadlocked", r.Deadlocked),
-		)
-		span.End()
+		return statespace.Analyze(g, opt)
+	}
+	lookup := func(_ string, g *sdf.Graph, opt statespace.Options) (statespace.Result, bool, error) {
+		r, err := cold(g, opt)
+		return r, false, err
+	}
+	if c != nil {
+		lookup = memoLookup(c, ctx, tel.WarmOf(), cold)
+	}
+	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
+		var span obs.Span
+		if scope != nil { // the attrs would allocate even for a nil scope
+			span = scope.Begin("analyze", obs.String("graph", g.Name))
+		}
+		var key string
+		if c != nil || run != nil {
+			key = analysisKey(g, opt)
+		}
+		r, memoized, err := lookup(key, g, opt)
+		if scope != nil {
+			attrs := []obs.Attr{
+				obs.Int("states", int64(r.StatesExplored)),
+				obs.Float("throughput", r.Throughput),
+				obs.Bool("deadlocked", r.Deadlocked),
+			}
+			if memoized {
+				attrs = append(attrs, obs.Bool("memo", true))
+			}
+			span.SetAttrs(attrs...)
+			span.End()
+		}
+		run.count(key, opt, r, err)
 		return r, err
 	}
-	if c == nil {
-		return cold
-	}
-	warm := tel.WarmOf()
+}
+
+// memoLookup answers lookups from c, running cold on a miss or a
+// bailout. memoized reports whether the memo supplied the Result.
+func memoLookup(c *Cache, ctx context.Context, warm *obs.WarmStats,
+	cold func(*sdf.Graph, statespace.Options) (statespace.Result, error),
+) func(string, *sdf.Graph, statespace.Options) (statespace.Result, bool, error) {
 	if warm == nil {
 		warm = &obs.WarmStats{}
 	}
-	return func(g *sdf.Graph, opt statespace.Options) (statespace.Result, error) {
-		budget := opt.MaxStates
-		if budget == 0 {
-			budget = statespace.DefaultMaxStates
-		}
-		v, joined, err := c.Do(ctx, analysisKey(g, opt), func() (any, error) {
+	return func(key string, g *sdf.Graph, opt statespace.Options) (statespace.Result, bool, error) {
+		v, joined, err := c.Do(ctx, key, func() (any, error) {
 			r, err := cold(g, opt)
 			if err != nil {
 				return nil, err
@@ -79,36 +116,134 @@ func Analyzer(c *Cache, ctx context.Context, tel *obs.Set) func(*sdf.Graph, stat
 			if joined && !errors.As(err, &pe) {
 				// The leader's cancellation or budget is not this caller's;
 				// its panic would be.
-				return cold(g, opt)
+				r, err := cold(g, opt)
+				return r, false, err
 			}
-			return statespace.Result{}, err
+			return statespace.Result{}, false, err
 		}
 		m := v.(*memo)
 		switch {
 		case !joined:
 			warm.Misses.Add(1)
-		case m.res.StatesExplored >= budget || m.tiles != nil && !sameTiles(m.tiles, opt.Schedules):
-			// n cached states fit only budgets admitting n inserts plus
-			// the terminating revisit probe; a deadlock report names the
-			// tiles, which the key leaves out.
+		case !reusable(m.res.StatesExplored, m.tiles, opt):
 			warm.Misses.Add(1)
 			warm.Bailouts.Add(1)
-			return cold(g, opt)
+			r, err := cold(g, opt)
+			return r, false, err
 		default:
 			warm.Exact.Add(1)
 		}
-		return copyResult(m.res), nil
+		return m.result(), joined, nil
 	}
 }
 
+// runCounts is one recorded run's view of its analyses: the record's
+// explorer counters, and what a private memo would hold for each key the
+// run has counted.
+type runCounts struct {
+	stats *obs.ExplorerStats
+	mu    sync.Mutex
+	seen  map[string]runKey
+}
+
+// runKey is what reusable needs of a private memo's entry.
+type runKey struct {
+	states int
+	tiles  []string
+}
+
+func newRunCounts(stats *obs.ExplorerStats) *runCounts {
+	if stats == nil {
+		return nil
+	}
+	return &runCounts{stats: stats, seen: make(map[string]runKey)}
+}
+
+// count adds one lookup's outcome to the record as a private memo would
+// see it: a successful Result counts unless that memo holds a reusable
+// exploration of the key, and an interruption counts every time (no
+// memo caches an error).
+func (rc *runCounts) count(key string, opt statespace.Options, r statespace.Result, err error) {
+	if rc == nil {
+		return
+	}
+	if err != nil {
+		if errors.Is(err, statespace.ErrInterrupted) {
+			rc.stats.Interrupted.Add(1)
+		}
+		return
+	}
+	rc.mu.Lock()
+	k, held := rc.seen[key]
+	if !held {
+		rc.seen[key] = runKey{states: r.StatesExplored, tiles: deadlockTiles(opt, r)}
+	}
+	rc.mu.Unlock()
+	if held && reusable(k.states, k.tiles, opt) {
+		return
+	}
+	rc.stats.Analyses.Add(1)
+	rc.stats.StatesTotal.Add(int64(r.StatesExplored))
+	if r.Deadlocked {
+		rc.stats.Deadlocks.Add(1)
+	}
+}
+
+// reusable reports whether an exploration of states states, whose
+// deadlock report printed tiles (nil without a report), provably answers
+// opt: n cached states fit only budgets admitting n inserts plus the
+// terminating revisit probe, and a deadlock report names the tiles,
+// which the key leaves out.
+func reusable(states int, tiles []string, opt statespace.Options) bool {
+	budget := opt.MaxStates
+	if budget == 0 {
+		budget = statespace.DefaultMaxStates
+	}
+	return states < budget && (tiles == nil || sameTiles(tiles, opt.Schedules))
+}
+
+// deadlockTiles returns the schedules' tile labels when res carries a
+// deadlock report, the only output that prints them.
+func deadlockTiles(opt statespace.Options, res statespace.Result) []string {
+	if res.DeadlockReport == "" {
+		return nil
+	}
+	tiles := make([]string, len(opt.Schedules))
+	for i, s := range opt.Schedules {
+		tiles[i] = s.Tile
+	}
+	return tiles
+}
+
 func newMemo(opt statespace.Options, res statespace.Result) *memo {
-	m := &memo{res: res}
-	if res.DeadlockReport != "" {
-		for _, s := range opt.Schedules {
-			m.tiles = append(m.tiles, s.Tile)
+	m := &memo{res: res, tiles: deadlockTiles(opt, res)}
+	if res.MaxTokens != nil {
+		m.res.MaxTokens = nil
+		m.maxTokens = binary.AppendUvarint(make([]byte, 0, 1+len(res.MaxTokens)), uint64(len(res.MaxTokens)))
+		for _, n := range res.MaxTokens {
+			m.maxTokens = binary.AppendVarint(m.maxTokens, n)
 		}
 	}
 	return m
+}
+
+// result returns a deep copy of the memoized Result.
+func (m *memo) result() statespace.Result {
+	r := m.res
+	if m.maxTokens != nil {
+		n, k := binary.Uvarint(m.maxTokens)
+		r.MaxTokens = make([]int64, n)
+		b := m.maxTokens[k:]
+		for i := range r.MaxTokens {
+			if c := b[0]; c < 0x80 { // one byte: zigzag-decode inline
+				r.MaxTokens[i], b = int64(c>>1)^-int64(c&1), b[1:]
+				continue
+			}
+			r.MaxTokens[i], k = binary.Varint(b)
+			b = b[k:]
+		}
+	}
+	return r
 }
 
 func sameTiles(tiles []string, scheds []statespace.Schedule) bool {
@@ -118,11 +253,6 @@ func sameTiles(tiles []string, scheds []statespace.Schedule) bool {
 		}
 	}
 	return true
-}
-
-func copyResult(r statespace.Result) statespace.Result {
-	r.MaxTokens = slices.Clone(r.MaxTokens)
-	return r
 }
 
 // keyer is the reusable scratch of analysisKey.

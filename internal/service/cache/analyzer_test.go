@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mamps/internal/obs"
@@ -51,9 +53,9 @@ func check(t *testing.T, an analyzeFunc, g *sdf.Graph, opt statespace.Options) s
 	return got
 }
 
-// TestTiers: the memo's one tier serves identical requests; anything
-// else, a uniform WCET rescale included, runs cold.
-func TestTiers(t *testing.T) {
+// TestMemoServesOnlyIdenticalRequests: the memo serves identical
+// requests; anything else, a uniform WCET rescale included, runs cold.
+func TestMemoServesOnlyIdenticalRequests(t *testing.T) {
 	an, stats := newAnalyzer(8)
 	want := func(exact, misses int64) {
 		t.Helper()
@@ -80,10 +82,10 @@ func TestTiers(t *testing.T) {
 	}
 }
 
-// TestScaledMatchesColdExactly: uniformly scaled WCET copies, including
+// TestScaledWCETsRunCold: uniformly scaled WCET copies, including
 // non-integer rational factors, are distinct requests; each runs cold
 // and the memo never answers one with another's result.
-func TestScaledMatchesColdExactly(t *testing.T) {
+func TestScaledWCETsRunCold(t *testing.T) {
 	an, stats := newAnalyzer(8)
 	base := [3]int64{6, 10, 4}
 	check(t, an, pipeline(base, 2), statespace.Options{})
@@ -97,7 +99,10 @@ func TestScaledMatchesColdExactly(t *testing.T) {
 	}
 }
 
-func TestDeadlockNeverScaled(t *testing.T) {
+// TestDeadlockServedOnlyToIdenticalRequest: a deadlock with rescaled
+// WCETs runs cold without a bailout; the identical request gets the
+// memoized deadlock verbatim.
+func TestDeadlockServedOnlyToIdenticalRequest(t *testing.T) {
 	an, stats := newAnalyzer(8)
 	dead := func(wcet int64) *sdf.Graph {
 		g := sdf.NewGraph("dead")
@@ -223,8 +228,9 @@ func TestAnalyzerMemoizesAndCancels(t *testing.T) {
 	}
 }
 
-// TestAnalyzerTelemetry: explorations publish explorer counters and one
-// "statespace" span each; memo hits publish neither.
+// TestAnalyzerTelemetry: explorations publish explorer counters, memo
+// hits publish none, and every lookup records one "statespace" span, the
+// memo's answers flagged memo=true.
 func TestAnalyzerTelemetry(t *testing.T) {
 	tr := obs.New()
 	set := &obs.Set{Trace: tr, Explorer: obs.NewExplorerStats(nil), Warm: obs.NewWarmStats(nil)}
@@ -235,8 +241,15 @@ func TestAnalyzerTelemetry(t *testing.T) {
 	if n := set.Explorer.Analyses.Value(); n != 1 {
 		t.Fatalf("explorer analyses = %d, want 1", n)
 	}
-	if n := tr.SpanCount(); n != 1 {
-		t.Fatalf("spans = %d, want 1", n)
+	if n := tr.SpanCount(); n != 3 {
+		t.Fatalf("spans = %d, want 3", n)
+	}
+	var buf bytes.Buffer
+	if err := tr.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `"memo":true`); n != 2 {
+		t.Fatalf("memo spans = %d, want 2", n)
 	}
 	if set.Warm.Exact.Value() != 2 {
 		t.Fatalf("Exact = %d, want 2", set.Warm.Exact.Value())
@@ -318,10 +331,11 @@ func TestMemoMatchesCold(t *testing.T) {
 	}
 }
 
-// TestKeyTiers: the exact key covers every field a Result depends on but
-// the tile labels, which only a deadlock report prints (TestMemoMatchesCold
-// covers those), and the MaxStates budget (TestBudgetGuard).
-func TestKeyTiers(t *testing.T) {
+// TestAnalysisKeyFields: the exact key covers every field a Result
+// depends on but the tile labels, which only a deadlock report prints
+// (TestMemoMatchesCold covers those), and the MaxStates budget
+// (TestBudgetGuard).
+func TestAnalysisKeyFields(t *testing.T) {
 	g := pipeline([3]int64{3, 5, 2}, 4)
 	sched := statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{0, 1, 2}}}}
 	key := analysisKey(g, sched)

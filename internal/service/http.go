@@ -387,23 +387,18 @@ func (s *Server) flowJob(ctx context.Context, req modelio.FlowRequestJSON) (any,
 	cfg.MapOptions.UseCA = req.UseCA
 	cfg.Faults = req.Faults
 	cfg.TargetThroughput = req.TargetThroughput
-	// Unrecorded jobs publish into the process-wide counters and share the
-	// service cache's analyses. Recorded runs get a private telemetry set
-	// (trace + fresh counter groups) and analyze cold, so the stored
-	// Record's counters reflect exactly this run's deterministic work,
-	// independent of cache warmth, which is what the regression detector
-	// compares. Repeated identical requests still skip recomputation (and
-	// recording) at the job-level content cache.
+	// Every job analyzes through the service cache. A recorded run gets a
+	// private trace and counter groups, and its record counts its
+	// analyses as a cold run would (see cache.Analyzer), so the
+	// regression detector compares counts independent of cache warmth.
 	cfg.Obs = s.tel
-	analyses := s.cache
 	rt := s.newRunTelemetry(ctx)
 	var graphKey string
 	if rt != nil {
 		graphKey = cache.GraphKey(built.app.Graph)
 		cfg.Obs = rt.set
-		analyses = nil
 	}
-	cfg.MapOptions.Analyze = cache.Analyzer(analyses, ctx, cfg.Obs)
+	cfg.MapOptions.Analyze = cache.Analyzer(s.cache, ctx, cfg.Obs)
 
 	if req.ArchXML != "" {
 		cfg.Platform, err = modelio.ReadArch([]byte(req.ArchXML))
@@ -501,13 +496,8 @@ func (s *Server) dseJob(ctx context.Context, req modelio.DSERequestJSON) (any, e
 	rt := s.newRunTelemetry(ctx)
 	var graphKey string
 	if rt != nil {
-		// Recorded sweeps use private telemetry and a private per-run cache:
-		// intra-sweep dedup still works (and is deterministic), but the
-		// counters never depend on what earlier requests left in the shared
-		// cache — the regression detector needs reproducible counts.
 		graphKey = cache.GraphKey(built.app.Graph)
 		cfg.Obs = rt.set
-		cfg.Cache = cache.New(0)
 	}
 	for _, name := range req.Interconnects {
 		ic, err := parseInterconnect(name)

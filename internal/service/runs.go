@@ -15,7 +15,6 @@ package service
 // the registry records work actually performed.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -58,10 +57,11 @@ var buildVersion, buildGoVersion = func() (string, string) {
 }()
 
 // runTelemetry is the private telemetry bundle of one recorded run: a
-// fresh trace plus unregistered kernel-counter groups, so the stored
-// Record carries exactly this run's counts (the process-wide /metrics
-// totals receive the same counts via fold afterwards). nil when the run
-// registry is disabled.
+// fresh trace, unregistered simulator and solver groups, and the record's
+// explorer counters, so the stored Record carries exactly this run's
+// counts. Analyses it actually runs and its memo lookups count in the
+// process-wide groups directly; fold adds the rest afterwards. nil when
+// the run registry is disabled.
 type runTelemetry struct {
 	trace *obs.Trace
 	set   *obs.Set
@@ -78,18 +78,26 @@ func (s *Server) newRunTelemetry(ctx context.Context) *runTelemetry {
 		trace: tr,
 		set: &obs.Set{
 			Trace:    tr,
-			Explorer: obs.NewExplorerStats(nil),
+			Explorer: s.tel.Explorer,
 			Sim:      obs.NewSimStats(nil),
 			Solver:   obs.NewSolverStats(nil),
+			Warm:     s.tel.Warm,
+			Record:   obs.NewExplorerStats(nil),
 		},
 	}
 }
 
-// fold adds the run's counters into the process-wide registered groups.
+// fold adds the run's simulator and solver counters into the
+// process-wide registered groups.
 func (rt *runTelemetry) fold(s *Server) {
-	rt.set.Explorer.AddTo(s.tel.Explorer)
 	rt.set.Sim.AddTo(s.tel.Sim)
 	rt.set.Solver.AddTo(s.tel.Solver)
+}
+
+// counters snapshots the run's record counters; the warm-start stats are
+// process-wide and stay out of the record.
+func (rt *runTelemetry) counters() runlog.Counters {
+	return runlog.CountersFrom(&obs.Set{Explorer: rt.set.Record, Sim: rt.set.Sim, Solver: rt.set.Solver})
 }
 
 // traceArtifact exports the run's trace as a Perfetto artifact, or nil
@@ -98,11 +106,11 @@ func (rt *runTelemetry) traceArtifact() *runlog.Artifact {
 	if rt.trace.SpanCount() == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := rt.trace.WritePerfetto(&buf); err != nil {
+	data, err := rt.trace.AppendPerfetto(nil)
+	if err != nil {
 		return nil
 	}
-	return &runlog.Artifact{Name: "trace.json", Data: buf.Bytes()}
+	return &runlog.Artifact{Name: "trace.json", Data: data}
 }
 
 // flowBaselineKey keys a service flow run for baseline matching: the
@@ -134,7 +142,7 @@ func (s *Server) recordFlowRun(ctx context.Context, req modelio.FlowRequestJSON,
 			UseCA: req.UseCA, Faults: req.Faults,
 			TargetThroughput: req.TargetThroughput,
 		},
-		Counters: runlog.CountersFrom(rt.set),
+		Counters: rt.counters(),
 	}
 	var artifacts []runlog.Artifact
 	switch {
@@ -146,6 +154,7 @@ func (s *Server) recordFlowRun(ctx context.Context, req modelio.FlowRequestJSON,
 		if res.Sim != nil {
 			rec.Cycles = res.Sim.Cycles
 		}
+		rec.Steps = make([]runlog.StageTime, 0, len(res.Steps))
 		for _, st := range res.Steps {
 			rec.Steps = append(rec.Steps, runlog.StageTime{
 				Name: st.Name, Automated: st.Automated,
@@ -196,7 +205,7 @@ func (s *Server) recordDSERun(ctx context.Context, req modelio.DSERequestJSON, a
 			Interconnect: strings.Join(req.Interconnects, ","),
 			UseCA:        req.WithCA,
 		},
-		Counters: runlog.CountersFrom(rt.set),
+		Counters: rt.counters(),
 	}
 	var artifacts []runlog.Artifact
 	if runErr != nil {

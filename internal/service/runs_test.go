@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -322,6 +323,111 @@ func TestRunIDTraversalRejected(t *testing.T) {
 		resp, data := get(t, ts, path)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400 (%s)", path, resp.StatusCode, data)
+		}
+	}
+}
+
+// recordedServer starts a server with a fresh run registry.
+func recordedServer(t *testing.T) (*runlog.Registry, *httptest.Server) {
+	t.Helper()
+	reg, err := runlog.Open(t.TempDir(), runlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 2, RunLog: reg})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+		reg.Close()
+	})
+	return reg, ts
+}
+
+// metricTotal reads one unlabelled sample from /metrics.
+func metricTotal(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	_, data := get(t, ts, "/metrics")
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var n int64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics lacks %s", name)
+	return 0
+}
+
+// recordOf serves one recorded request and returns its record and the
+// analyses and states /metrics counted for it, checking that /metrics
+// counted exactly the explorations the request ran: one per warm-start
+// miss, none for the memo's answers.
+func recordOf(t *testing.T, reg *runlog.Registry, ts *httptest.Server, path, body string) (rec runlog.Record, ran, states int64) {
+	t.Helper()
+	analyses := metricTotal(t, ts, "mamps_statespace_analyses_total")
+	states = metricTotal(t, ts, "mamps_statespace_states_total")
+	misses := metricTotal(t, ts, "mamps_warmstart_misses_total")
+	n := reg.Len()
+	if resp, data := post(t, ts, path, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: %d: %s", path, body, resp.StatusCode, data)
+	}
+	if reg.Len() != n+1 {
+		t.Fatalf("%s %s appended %d records, want 1", path, body, reg.Len()-n)
+	}
+	ran = metricTotal(t, ts, "mamps_statespace_analyses_total") - analyses
+	states = metricTotal(t, ts, "mamps_statespace_states_total") - states
+	if missed := metricTotal(t, ts, "mamps_warmstart_misses_total") - misses; ran != missed {
+		t.Errorf("%s %s: /metrics counted %d analyses for %d explorations", path, body, ran, missed)
+	}
+	recs, _ := reg.List(runlog.Filter{Limit: 1})
+	return recs[0], ran, states
+}
+
+// TestRecordedCountersIndependentOfMemo: a recorded run's counters are
+// what a cold run on a private memo counts, whatever an earlier request
+// left in the shared analysis memo, while /metrics counts only the
+// explorations that actually ran. On a fresh server the shared memo is
+// such a private one, so there the record equals the /metrics delta.
+func TestRecordedCountersIndependentOfMemo(t *testing.T) {
+	type pair struct{ path, a, b string }
+	var cases []pair
+	for _, tiles := range []int{2, 3, 5} {
+		for _, ic := range []string{"fsl", "noc"} {
+			// A executes fewer iterations than B on the same platform, so
+			// the two share B's mapping analysis and differ in the
+			// expected-case one.
+			cfg := fmt.Sprintf(`{"workload":%s,"tiles":%d,"interconnect":%q,"iterations":`, smallMJPEG, tiles, ic)
+			cases = append(cases, pair{"/v1/flow", cfg + `1}`, cfg + `-1}`})
+		}
+	}
+	dse := func(min, max int, solver bool) string {
+		return fmt.Sprintf(`{"workload":%s,"minTiles":%d,"maxTiles":%d,"interconnects":["fsl","noc"],"solver":%t,"solverNodeBudget":64}`,
+			smallMJPEG, min, max, solver)
+	}
+	cases = append(cases,
+		pair{"/v1/dse", dse(3, 5, false), dse(2, 4, false)},
+		pair{"/v1/dse", dse(2, 3, true), dse(3, 3, true)},
+	)
+	for _, c := range cases {
+		regFresh, fresh := recordedServer(t)
+		want, ran, states := recordOf(t, regFresh, fresh, c.path, c.b)
+		if want.Counters.Analyses == 0 || want.Counters.Analyses != ran || want.Counters.StatesExplored != states {
+			t.Fatalf("%s %s on a fresh server: record counted %d analyses / %d states, /metrics %d / %d",
+				c.path, c.b, want.Counters.Analyses, want.Counters.StatesExplored, ran, states)
+		}
+
+		regWarm, warm := recordedServer(t)
+		recordOf(t, regWarm, warm, c.path, c.a)
+		exact := metricTotal(t, warm, "mamps_warmstart_exact_hits_total")
+		got, _, _ := recordOf(t, regWarm, warm, c.path, c.b)
+		if metricTotal(t, warm, "mamps_warmstart_exact_hits_total") == exact {
+			t.Errorf("%s %s after %s: no memo hit, the case shares no analysis", c.path, c.b, c.a)
+		}
+		if got.Counters != want.Counters {
+			t.Errorf("%s %s after %s: counters\n got %+v\nwant %+v", c.path, c.b, c.a, got.Counters, want.Counters)
 		}
 	}
 }

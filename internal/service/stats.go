@@ -10,6 +10,8 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"mamps/internal/modelio"
@@ -17,11 +19,26 @@ import (
 	"mamps/internal/runlog"
 )
 
+// statsParams are the query parameters /v1/stats understands.
+var statsParams = []string{"app", "kind", "graphKey", "baselineKey", "corpus", "groupBy",
+	"degraded", "deadlocked", "regressed", "faulted", "since", "until"}
+
 // statsQuery parses the /v1/stats query parameters. Unknown groupBy
-// values are reported by agg.Query.Validate; malformed booleans and
-// times are 400s raised here.
+// values are reported by agg.Query.Validate; unknown parameters (a
+// misspelt filter would otherwise silently match every run), malformed
+// booleans and times are 400s raised here.
 func statsQuery(r *http.Request) (agg.Query, error) {
 	qp := r.URL.Query()
+	var unknown []string
+	for name := range qp {
+		if !slices.Contains(statsParams, name) {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return agg.Query{}, fmt.Errorf("unknown query parameter %q (want one of %s)", unknown[0], strings.Join(statsParams, ", "))
+	}
 	q := agg.Query{
 		App:         qp.Get("app"),
 		Kind:        qp.Get("kind"),

@@ -97,6 +97,43 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsUnknownParameter: a query parameter /v1/stats does not know,
+// such as a misspelt filter, is a 400 naming it rather than a report
+// over every run.
+func TestStatsUnknownParameter(t *testing.T) {
+	reg, err := runlog.Open(t.TempDir(), runlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	s := New(Config{Workers: 1, RunLog: reg})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for path, name := range map[string]string{
+		"/v1/stats?anomalies=1":              "anomalies",
+		"/v1/stats?regresed=1":               "regresed",
+		"/v1/stats?kind=flow&zeta=1&alpha=2": "alpha",
+	} {
+		resp, data := get(t, ts, path)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
+			continue
+		}
+		var body struct{ Error, Kind string }
+		if err := json.Unmarshal(data, &body); err != nil {
+			t.Fatalf("GET %s: %v\n%s", path, err, data)
+		}
+		if body.Kind != "validation" || !strings.Contains(body.Error, `unknown query parameter "`+name+`"`) {
+			t.Errorf("GET %s: error %s, want it to name %q", path, data, name)
+		}
+	}
+	if resp, data := get(t, ts, "/v1/stats?kind=flow&regressed=1&groupBy=app"); resp.StatusCode != http.StatusOK {
+		t.Errorf("known parameters: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 // TestStatsEndpointDisabled pins the no-registry behaviour.
 func TestStatsEndpointDisabled(t *testing.T) {
 	s := New(Config{Workers: 1})
