@@ -6,10 +6,12 @@
 //
 // With -compare it parses the stream and gates metrics against a
 // recorded baseline report: any benchmark present in both whose metric
-// exceeds baseline*max-ratio fails the run. -gate takes several gates at
-// once as comma-separated unit:max-ratio pairs. `make obs-smoke` uses
+// exceeds baseline*max-ratio fails the run. A benchmark run several
+// times (go test -count) is gated on the median of each metric over its
+// runs. -gate takes several gates at once as comma-separated
+// unit:max-ratio pairs. `make obs-smoke` uses
 //
-//	go test -run '^$' -bench '...' -benchmem -json . |
+//	go test -run '^$' -bench '...' -benchmem -benchtime=5x -count=5 -json . |
 //	    benchjson -compare BENCH_2026-08-06.json -gate 'allocs/op:1,ns/op:1.2'
 //
 // to prove the telemetry layer adds zero allocations to the kernel hot
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -264,9 +267,37 @@ func parseGates(s string) ([]gateSpec, error) {
 	return gates, nil
 }
 
+// medians folds the repeated runs of each benchmark into one entry, in
+// order of first appearance, whose every metric is the median of that
+// metric over the runs (the mean of the middle two for an even count).
+func medians(runs []Benchmark) []Benchmark {
+	var out []Benchmark
+	seen := make(map[string]bool)
+	values := make(map[[2]string][]float64) // {name, unit} -> one value per run
+	for _, b := range runs {
+		if !seen[b.Name] {
+			seen[b.Name] = true
+			out = append(out, Benchmark{Name: b.Name, Metrics: append([]Metric(nil), b.Metrics...)})
+		}
+		for _, m := range b.Metrics {
+			k := [2]string{b.Name, m.Unit}
+			values[k] = append(values[k], m.Value)
+		}
+	}
+	for _, b := range out {
+		for i, m := range b.Metrics {
+			vs := values[[2]string{b.Name, m.Unit}]
+			sort.Float64s(vs)
+			b.Metrics[i].Value = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+		}
+	}
+	return out
+}
+
 // compareReport parses the test2json stream on stdin once and gates each
 // metric against the baseline report: every benchmark present in both
-// must satisfy current <= baseline*maxRatio for every gate. Benchmarks
+// must satisfy current <= baseline*maxRatio for every gate, where current
+// is the median over the benchmark's runs on stdin. Benchmarks
 // missing from the baseline (or lacking a metric) are reported but don't
 // fail the run, so adding new benchmarks never breaks the gate.
 func compareReport(baselinePath string, gates []gateSpec) error {
@@ -290,7 +321,7 @@ func compareReport(baselinePath string, gates []gateSpec) error {
 	var failures []string
 	for _, g := range gates {
 		compared := 0
-		for _, b := range cur.Benchmarks {
+		for _, b := range medians(cur.Benchmarks) {
 			got, ok := metricOf(b, g.unit)
 			if !ok {
 				continue

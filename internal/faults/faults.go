@@ -24,7 +24,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 )
@@ -221,28 +220,4 @@ type ErrTileFailed struct {
 
 func (e *ErrTileFailed) Error() string {
 	return fmt.Sprintf("faults: tile %s fail-stop at cycle %d", e.Tile, e.Cycle)
-}
-
-// transientError marks an error as transient: the operation may succeed
-// if simply retried (injected transient faults, interrupts), as opposed
-// to deterministic failures like deadlocks or infeasible mappings.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string   { return t.err.Error() }
-func (t *transientError) Unwrap() error   { return t.err }
-func (t *transientError) Transient() bool { return true }
-
-// Transient wraps err so IsTransient reports true for it.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) is marked
-// transient — the service retries such job failures with backoff.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

@@ -192,30 +192,12 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-func TestTransient(t *testing.T) {
-	base := errors.New("boom")
-	if IsTransient(base) {
-		t.Fatal("plain error marked transient")
-	}
-	wrapped := Transient(base)
-	if !IsTransient(wrapped) {
-		t.Fatal("Transient mark lost")
-	}
-	if !IsTransient(fmt.Errorf("outer: %w", wrapped)) {
-		t.Fatal("Transient mark lost through wrapping")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Fatal("Transient broke errors.Is")
-	}
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) != nil")
-	}
+// TestErrTileFailedUnwraps: a fail-stop wrapped by the simulator is
+// still found by errors.As, the match degraded-mode recovery relies on.
+func TestErrTileFailedUnwraps(t *testing.T) {
 	var tf *ErrTileFailed
 	err := fmt.Errorf("sim: %w", &ErrTileFailed{Tile: "t1", Cycle: 5})
 	if !errors.As(err, &tf) || tf.Tile != "t1" || tf.Cycle != 5 {
 		t.Fatalf("errors.As failed: %v", err)
-	}
-	if IsTransient(err) {
-		t.Fatal("fail-stop must not be transient")
 	}
 }

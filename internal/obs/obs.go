@@ -355,21 +355,6 @@ func NewExplorerStats(r *Registry) *ExplorerStats {
 	}
 }
 
-// AddTo adds this group's counter values into dst. The service's run
-// recording uses it to fold a per-run group (fresh, unregistered) into
-// the process-wide registered totals after the run completes; the
-// sampled progress gauges are point-in-time and are not transferred.
-// Nil source or destination is a no-op.
-func (e *ExplorerStats) AddTo(dst *ExplorerStats) {
-	if e == nil || dst == nil {
-		return
-	}
-	dst.Analyses.Add(e.Analyses.Value())
-	dst.StatesTotal.Add(e.StatesTotal.Value())
-	dst.Deadlocks.Add(e.Deadlocks.Value())
-	dst.Interrupted.Add(e.Interrupted.Value())
-}
-
 // SimStats receives the platform simulator's counters, published once
 // per completed (or aborted) run from locals accumulated in the event
 // loop — the hot loop itself never touches an atomic. Create with
@@ -504,17 +489,6 @@ func NewWarmStats(r *Registry) *WarmStats {
 		Misses:   r.Counter("mamps_warmstart_misses_total", "Analyses run cold."),
 		Bailouts: r.Counter("mamps_warmstart_bailouts_total", "Cold analyses whose reuse was refused because soundness could not be proven."),
 	}
-}
-
-// AddTo adds this group's counter values into dst. Nil source or
-// destination is a no-op.
-func (w *WarmStats) AddTo(dst *WarmStats) {
-	if w == nil || dst == nil {
-		return
-	}
-	dst.Exact.Add(w.Exact.Value())
-	dst.Misses.Add(w.Misses.Value())
-	dst.Bailouts.Add(w.Bailouts.Value())
 }
 
 // Set bundles the telemetry destinations of one run: a span trace and

@@ -112,13 +112,6 @@ func memoLookup(c *Cache, ctx context.Context, warm *obs.WarmStats,
 		})
 		if err != nil {
 			warm.Misses.Add(1)
-			var pe *PanicError
-			if joined && !errors.As(err, &pe) {
-				// The leader's cancellation or budget is not this caller's;
-				// its panic would be.
-				r, err := cold(g, opt)
-				return r, false, err
-			}
 			return statespace.Result{}, false, err
 		}
 		m := v.(*memo)

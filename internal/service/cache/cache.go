@@ -9,6 +9,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -52,10 +53,10 @@ type call struct {
 // single-flight deduplication. All methods are safe for concurrent use.
 //
 // Errors are never cached: a failed computation is retried by the next
-// caller. If the goroutine computing a key is cancelled, followers waiting
-// on that key receive its error (typically statespace.ErrInterrupted) and
-// the next request recomputes. A computation that panics fails the same
-// way, with a *PanicError.
+// caller. A computation that panics fails with a *PanicError, which
+// every caller that joined it shares; any other failure of a leader
+// (its cancellation, its budget) is its own, and its followers compute
+// again (see Do).
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -100,27 +101,37 @@ func (c *Cache) Get(key string) (any, bool) {
 //
 // fn runs on the leader's goroutine, so it should honour the leader's
 // context itself (e.g. via statespace.Options.Interrupt). A panic in fn
-// does not propagate: the leader and its followers get a *PanicError.
+// does not propagate: the leader and its followers get a *PanicError, as
+// do followers of a leader whose fn returned an error wrapping one. A
+// follower whose leader failed with any other error joins the next
+// leader or becomes the leader itself, under its own context.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, hit bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if cl, ok := c.inflight[key]; ok {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			c.stats.Hits++
+			v := el.Value.(*entry).val
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		cl, ok := c.inflight[key]
+		if !ok {
+			break // lead, with c.mu held
+		}
 		c.stats.Dedup++
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
-			return cl.val, true, cl.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
+		}
+		var pe *PanicError
+		if cl.err == nil || errors.As(cl.err, &pe) {
+			return cl.val, true, cl.err
 		}
 	}
 	cl := &call{done: make(chan struct{})}
@@ -133,7 +144,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 			// Release the followers with the same error, or they would
 			// block forever on a key nobody is computing; nothing is
 			// stored, so the next Do recomputes.
-			cl.val, cl.err = nil, &PanicError{Key: key, Value: p, Stack: debug.Stack()}
+			cl.val, cl.err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 			c.finish(key, cl, false)
 			val, hit, err = nil, false, cl.err
 		}
@@ -144,15 +155,15 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 }
 
 // PanicError is the error Do returns when its computation panicked. Value
-// is what fn panicked with, Stack the leader's stack at the panic.
+// is what the computation panicked with, Stack the panicking goroutine's
+// stack.
 type PanicError struct {
-	Key   string
 	Value any
 	Stack []byte
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("cache: computation for key %.16s… panicked: %v", e.Key, e.Value)
+	return fmt.Sprintf("cache: computation panicked: %v", e.Value)
 }
 
 // finish publishes a completed call and stores it on success.

@@ -136,6 +136,36 @@ func TestFollowerHonoursItsContext(t *testing.T) {
 	close(release)
 }
 
+// TestFollowerRecomputesAfterLeaderError: a leader's error other than a
+// panic (its cancellation, its budget) is not its follower's; the
+// follower computes the key itself.
+func TestFollowerRecomputesAfterLeaderError(t *testing.T) {
+	c := New(4)
+	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func() (any, error) {
+			close(leaderIn)
+			for c.Stats().Dedup == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			return nil, context.Canceled
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+	v, hit, err := c.Do(context.Background(), "k", func() (any, error) { return 2, nil })
+	if err != nil || hit || v != 2 {
+		t.Fatalf("follower = %v, hit %v, %v; want its own computed 2", v, hit, err)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Dedup != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses, 1 dedup, 1 entry", st)
+	}
+}
+
 // TestPanicReleasesFollowers: a panicking computation reaches neither the
 // leader's nor a joined follower's goroutine as a panic; both get a
 // *PanicError carrying the panic value, nothing is cached, and the next

@@ -22,9 +22,6 @@ import (
 	"math"
 	"sort"
 
-	"mamps/internal/appmodel"
-	"mamps/internal/arch"
-	"mamps/internal/mapping"
 	"mamps/internal/sdf"
 )
 
@@ -111,77 +108,5 @@ func (h *Hasher) Graph(g *sdf.Graph) *Hasher {
 	return h.Strings(lines)
 }
 
-// App appends an application model: its graph plus the per-actor
-// implementation metrics (function pointers are behaviour, not content,
-// and are excluded — the analyses never call them).
-func (h *Hasher) App(app *appmodel.App) *Hasher {
-	h.String("app").Float(app.TargetThroughput).Graph(app.Graph)
-	for _, name := range app.Graph.SortedActorNames() {
-		a := app.Graph.ActorByName(name)
-		impls := append([]appmodel.Impl(nil), app.Impls[a.ID]...)
-		sort.Slice(impls, func(i, j int) bool { return impls[i].PE < impls[j].PE })
-		h.String(name).Int(int64(len(impls)))
-		for _, im := range impls {
-			h.String(string(im.PE)).Int(im.WCET).
-				Int(int64(im.InstrMem)).Int(int64(im.DataMem)).
-				Bool(im.NeedsPeripherals)
-		}
-	}
-	return h
-}
-
-// Platform appends an architecture model. Tile order is semantic (bindings
-// and schedules refer to tile indices) and preserved; the platform name is
-// presentation only and excluded.
-func (h *Hasher) Platform(p *arch.Platform) *Hasher {
-	h.String("platform").Int(int64(p.ClockMHz)).Int(int64(len(p.Tiles)))
-	for _, t := range p.Tiles {
-		periphs := append([]string(nil), t.Peripherals...)
-		sort.Strings(periphs)
-		h.Int(int64(t.Kind)).String(string(t.PE)).
-			Int(int64(t.InstrMem)).Int(int64(t.DataMem)).
-			Bool(t.HasCA).Strings(periphs)
-	}
-	ic := p.Interconnect
-	h.Int(int64(ic.Kind)).Int(int64(ic.FIFODepth)).
-		Int(int64(ic.WiresPerLink)).Int(int64(ic.HopLatency)).Bool(ic.FlowControl)
-	return h
-}
-
-// MapOptions appends the mapping parameters that steer the SDF3 step.
-// The Analyze hook is plumbing, not content, and is excluded.
-func (h *Hasher) MapOptions(o mapping.Options) *Hasher {
-	h.String("mapopts").
-		Float(o.Weights.Processing).Float(o.Weights.Memory).
-		Float(o.Weights.Communication).Float(o.Weights.Latency).
-		Bool(o.UseCA).Int(int64(o.BufferIterations))
-	h.sortedInt64Map("exectimes", o.ExecTimes)
-	fixed := make(map[string]int64, len(o.FixedBinding))
-	for k, v := range o.FixedBinding {
-		fixed[k] = int64(v)
-	}
-	h.sortedInt64Map("binding", fixed)
-	return h
-}
-
-func (h *Hasher) sortedInt64Map(tag string, m map[string]int64) {
-	h.String(tag).Int(int64(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.String(k).Int(m[k])
-	}
-}
-
 // GraphKey returns the canonical content key of an SDF graph.
 func GraphKey(g *sdf.Graph) string { return NewHasher("mamps/graph/v1").Graph(g).Sum() }
-
-// MappingKey returns the content key of a full SDF3 mapping run over
-// (application, platform, options) — the triple the paper's flow feeds to
-// the mapping step.
-func MappingKey(app *appmodel.App, p *arch.Platform, opt mapping.Options) string {
-	return NewHasher("mamps/mapping/v1").App(app).Platform(p).MapOptions(opt).Sum()
-}

@@ -5,7 +5,8 @@ package service
 // triggered by a handler panic, a structured deadlock (422), SIGQUIT
 // (via DumpDiagnostics from mamps-serve) or POST /debug/dump — captures
 // the ring together with kernel counters, the SLO board state and
-// goroutine/heap/CPU profiles into a diagnostic bundle. When a run
+// goroutine/heap profiles (plus a CPU profile, except for a deadlock)
+// into a diagnostic bundle. When a run
 // registry is attached the bundle is appended as a kind "diag" record:
 // the manifest and every profile land in the content-addressed blob
 // store, deduplicated and covered by the ledger chain, so "what was the
@@ -46,6 +47,12 @@ func (s *Server) diagCounters() map[string]int64 {
 // not take the serving path down with them.
 func (s *Server) dumpDiagnostics(ctx context.Context, reason, deadlock string) (string, *diag.Bundle) {
 	tc := obs.TraceContextFrom(ctx)
+	// A deadlock is a wait, not a CPU hot spot, and its 422 waits for
+	// the dump, so its bundle skips the CPU profile.
+	cpu := s.dumpCPU
+	if reason == "deadlock" {
+		cpu = 0
+	}
 	bundle, arts := diag.Capture(diag.CaptureOptions{
 		Reason:     reason,
 		NowNS:      s.clk.Now().UnixNano(),
@@ -57,7 +64,7 @@ func (s *Server) dumpDiagnostics(ctx context.Context, reason, deadlock string) (
 		SLO:        s.slos.States(),
 		Deadlock:   deadlock,
 		Profiles:   true,
-		CPUProfile: s.dumpCPU,
+		CPUProfile: cpu,
 	})
 	data, err := bundle.Marshal()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mamps/internal/obs"
 	"mamps/internal/obs/diag"
@@ -131,6 +132,37 @@ func TestDeadlockDump(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no deadlock event in bundle ring: %+v", b.Events)
+	}
+}
+
+// TestDeadlockDumpSkipsCPUProfile: at the default dump settings a
+// deadlock 422 does not wait for a CPU profile; its bundle still carries
+// the heap and goroutine profiles.
+func TestDeadlockDumpSkipsCPUProfile(t *testing.T) {
+	s, reg, _ := diagTestServer(t)
+	s.dumpCPU = dumpCPUDuration
+
+	rr := httptest.NewRecorder()
+	start := time.Now()
+	s.writeError(rr, httptest.NewRequest("POST", "/v1/flow", nil), &sim.DeadlockError{Cycle: 7, Report: "tile 0: blocked"})
+	if took := time.Since(start); took >= 50*time.Millisecond {
+		t.Errorf("deadlock 422 took %v, want under 50ms", took)
+	}
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("deadlock status = %d, want 422", rr.Code)
+	}
+	recs, total := reg.List(runlog.Filter{Kind: "diag"})
+	if total != 1 {
+		t.Fatalf("%d diag records after deadlock, want 1", total)
+	}
+	profiles := recs[0].Profiles
+	if _, ok := profiles[diag.ProfileCPU]; ok {
+		t.Errorf("deadlock bundle carries a CPU profile: %v", profiles)
+	}
+	for _, name := range []string{diag.ProfileHeap, diag.ProfileGoroutine} {
+		if _, ok := profiles[name]; !ok {
+			t.Errorf("deadlock bundle lacks the %s profile: %v", name, profiles)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ type metrics struct {
 	latency  map[string]*obs.Histogram // endpoint -> request latency
 	rejected map[string]uint64         // reason -> count
 	jobs     uint64                    // jobs completed by workers
-	retries  uint64                    // transient job failures retried
 	panics   uint64                    // handler/job panics recovered
 
 	// queueWait observes the time each job spent waiting in the bounded
@@ -87,25 +86,11 @@ func (m *metrics) observeJob() {
 	m.jobs++
 }
 
-// observeRetry records one transient job failure retried with backoff.
-func (m *metrics) observeRetry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
-}
-
 // observePanic records one recovered handler or job panic.
 func (m *metrics) observePanic() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.panics++
-}
-
-// snapshotRetries returns the retry counter (for tests).
-func (m *metrics) snapshotRetries() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries
 }
 
 // gauge is a point-in-time value appended by the server at render time.
@@ -149,10 +134,6 @@ func (m *metrics) write(w io.Writer, gauges []gauge) {
 	fmt.Fprintln(w, "# HELP mamps_jobs_total Jobs completed by the worker pool.")
 	fmt.Fprintln(w, "# TYPE mamps_jobs_total counter")
 	fmt.Fprintf(w, "mamps_jobs_total %d\n", m.jobs)
-
-	fmt.Fprintln(w, "# HELP mamps_job_retries_total Transient job failures retried with backoff.")
-	fmt.Fprintln(w, "# TYPE mamps_job_retries_total counter")
-	fmt.Fprintf(w, "mamps_job_retries_total %d\n", m.retries)
 
 	fmt.Fprintln(w, "# HELP mamps_panics_total Handler and job panics recovered by the server.")
 	fmt.Fprintln(w, "# TYPE mamps_panics_total counter")

@@ -1,6 +1,5 @@
 // Hardened-serving-path tests: panic containment, admission control,
-// drain-aware readiness, transient-failure retry, and fault injection
-// over the wire.
+// drain-aware readiness, and fault injection over the wire.
 package service
 
 import (
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"mamps/internal/arch"
-	"mamps/internal/faults"
 	"mamps/internal/modelio"
 	"mamps/internal/sim"
 )
@@ -392,41 +390,6 @@ func TestReadyzFlipsBeforeHealthz(t *testing.T) {
 	resp, st = get("/healthz")
 	if resp.StatusCode != http.StatusServiceUnavailable || st.Status != "stopped" {
 		t.Errorf("post-drain healthz = %d %q, want 503 stopped", resp.StatusCode, st.Status)
-	}
-}
-
-// TestTransientRetry: a job failing with a transient (injected-fault)
-// error is retried with backoff and succeeds; a plain failure is not
-// retried.
-func TestTransientRetry(t *testing.T) {
-	s := New(Config{Workers: 1, RetryAttempts: 2, RetryBase: time.Millisecond})
-	defer s.Shutdown(context.Background())
-
-	calls := 0
-	v, _, err := s.submit(context.Background(), "", func(ctx context.Context) (any, error) {
-		calls++
-		if calls == 1 {
-			return nil, faults.Transient(errors.New("glitch"))
-		}
-		return "recovered", nil
-	})
-	if err != nil || v != "recovered" {
-		t.Fatalf("transient job = %v, %v, want recovered", v, err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2 (one retry)", calls)
-	}
-	if got := s.metrics.snapshotRetries(); got != 1 {
-		t.Errorf("retry counter = %d, want 1", got)
-	}
-
-	plain := 0
-	_, _, err = s.submit(context.Background(), "", func(ctx context.Context) (any, error) {
-		plain++
-		return nil, errors.New("permanent")
-	})
-	if err == nil || plain != 1 {
-		t.Errorf("plain failure: err=%v calls=%d, want error after exactly 1 call", err, plain)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package service turns the one-shot design flow into a long-running
-// mapping-as-a-service daemon: a bounded job queue and worker pool run
-// flow, analysis and design-space-exploration requests concurrently with
-// per-job timeouts and cancellation, a content-addressed cache memoizes
-// the pure analysis kernel (identical concurrent requests are computed
-// once, via single-flight), and a metrics layer exposes request counts,
-// latency histograms, cache hit rates and worker utilization.
+// mapping-as-a-service daemon: a content-addressed cache answers repeated
+// requests and joins identical concurrent ones (single-flight), a bounded
+// job queue and worker pool run the remaining computations of flow,
+// analysis and design-space-exploration requests with per-job timeouts
+// and cancellation, and a metrics layer exposes request counts, latency
+// histograms, cache hit rates and worker utilization.
 //
 // The HTTP surface (see Handler) is JSON over the interchange types of
 // internal/modelio:
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -31,14 +30,11 @@ import (
 	"time"
 
 	"mamps/internal/clock"
-	"mamps/internal/faults"
 	"mamps/internal/obs"
 	"mamps/internal/obs/diag"
 	"mamps/internal/obs/slo"
 	"mamps/internal/runlog"
 	"mamps/internal/service/cache"
-	"mamps/internal/sim"
-	"mamps/internal/statespace"
 )
 
 // Config configures a Server.
@@ -64,14 +60,6 @@ type Config struct {
 	// Handler. Off by default: the profiles expose internals, so the
 	// operator opts in (mamps-serve -pprof).
 	EnablePprof bool
-	// RetryAttempts is how many times a job failing with a transient
-	// error (an injected fault, a spurious interrupt) is retried with
-	// jittered exponential backoff before the failure is reported
-	// (default 2; negative disables retries).
-	RetryAttempts int
-	// RetryBase is the base delay of the retry backoff (default 25ms);
-	// attempt n waits RetryBase·2^n plus up to half that again of jitter.
-	RetryBase time.Duration
 	// RunLog, if non-nil, records every computed flow/DSE run into the
 	// persistent run registry: per-run kernel counters, stage timings,
 	// bound vs. measured throughput, a Perfetto trace artifact, and the
@@ -94,15 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System()
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 2
-	}
-	if c.RetryAttempts < 0 {
-		c.RetryAttempts = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
 	}
 	return c
 }
@@ -133,7 +112,7 @@ const (
 	mutexProfileFraction = 100
 	blockProfileRate     = 1_000_000
 	// dumpCPUDuration is the length of the CPU profile every diagnostic
-	// dump captures.
+	// dump but a deadlock's captures.
 	dumpCPUDuration = 200 * time.Millisecond
 )
 
@@ -149,10 +128,9 @@ var (
 	errJobPanic = errors.New("service: job panic")
 )
 
-// job is one unit of work for the pool.
+// job is one computation for the pool.
 type job struct {
 	ctx      context.Context
-	key      string // content key; empty disables caching
 	enqueued time.Time
 	run      func(context.Context) (any, error)
 	result   chan jobResult
@@ -160,7 +138,6 @@ type job struct {
 
 type jobResult struct {
 	val any
-	hit bool // served from cache or joined in flight
 	err error
 }
 
@@ -291,96 +268,64 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job, converting a panic into an error so one faulty
-// job cannot take a worker — and with it the daemon — down. A cached job
-// runs inside cache.Do, which already returns its panic as a
-// *cache.PanicError to the job and to every request that joined it; the
-// job that ran the computation counts and logs it once. The recover here
-// is the worker's last line of defence, for uncached jobs and for a panic
-// outside the cached computation.
+// job cannot take a worker — and with it the daemon — down. A panic, or a
+// *cache.PanicError the job returns from a panicked analysis, is counted
+// and logged here once, and comes back as a *cache.PanicError wrapped in
+// errJobPanic: a 500 for the job's request and for every request that
+// joined it in cache.Do, none of which computes again.
 func (s *Server) runJob(j *job) (res jobResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.observeJobPanic(p, debug.Stack())
-			res = jobResult{err: fmt.Errorf("%w: %v", errJobPanic, p)}
+			res = jobResult{err: &cache.PanicError{Value: p, Stack: debug.Stack()}}
+		}
+		var pe *cache.PanicError
+		if errors.As(res.err, &pe) {
+			s.metrics.observePanic()
+			s.log.Error("job panic", "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+			res.err = fmt.Errorf("%w: %w", errJobPanic, res.err)
 		}
 	}()
-	if j.key == "" {
-		res.val, res.err = j.run(j.ctx)
-		return res
-	}
-	res.val, res.hit, res.err = s.cache.Do(j.ctx, j.key, func() (any, error) {
-		return j.run(j.ctx)
-	})
-	var pe *cache.PanicError
-	if errors.As(res.err, &pe) {
-		if !res.hit {
-			s.observeJobPanic(pe.Value, pe.Stack)
-		}
-		res.err = fmt.Errorf("%w: %w", errJobPanic, res.err)
-	}
+	res.val, res.err = j.run(j.ctx)
 	return res
 }
 
-func (s *Server) observeJobPanic(p any, stack []byte) {
-	s.metrics.observePanic()
-	s.log.Error("job panic", "panic", fmt.Sprint(p), "stack", string(stack))
-}
-
-// transient reports whether a job failure is worth retrying: injected
-// transient faults, or an interrupt that fired without the job's own
-// context being done (a cancelled context never retries).
-func transient(err error) bool {
-	return faults.IsTransient(err) ||
-		errors.Is(err, sim.ErrInterrupted) ||
-		errors.Is(err, statespace.ErrInterrupted)
-}
-
-// withRetry wraps a job with jittered-exponential-backoff retries of
-// transient failures. The wrapping sits inside the cache computation, so
-// a retried success is cached like any other (errors never are).
-func (s *Server) withRetry(run func(context.Context) (any, error)) func(context.Context) (any, error) {
-	if s.cfg.RetryAttempts == 0 {
-		return run
+// submit answers one request. The order of admission is drain, cache,
+// queue: a draining server rejects everything, a cached key is answered
+// and an in-flight one joined without a queue slot, and only the leader
+// of a key takes a slot and a worker for the computation (see enqueue).
+// The computation and every wait run under a context bounded by the
+// caller's context, the per-job timeout, and the server's hard-abort
+// context. An empty key bypasses the cache. hit reports whether the
+// value came from the cache or a joined computation.
+func (s *Server) submit(ctx context.Context, key string, run func(context.Context) (any, error)) (val any, hit bool, err error) {
+	if s.Drained() {
+		s.metrics.observeReject("draining")
+		return nil, false, ErrDraining
 	}
-	return func(ctx context.Context) (any, error) {
-		for attempt := 0; ; attempt++ {
-			v, err := run(ctx)
-			if err == nil || attempt >= s.cfg.RetryAttempts || !transient(err) || ctx.Err() != nil {
-				return v, err
-			}
-			delay := s.cfg.RetryBase << attempt
-			delay += time.Duration(rand.Int63n(int64(delay)/2 + 1))
-			s.metrics.observeRetry()
-			s.log.Info("retrying transient job failure",
-				"attempt", attempt+1, "delay", delay, "error", err)
-			t := time.NewTimer(delay)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, err
-			case <-t.C:
-			}
-		}
-	}
-}
-
-// submit queues one job and waits for its result. The job runs under a
-// context bounded by the caller's context, the per-job timeout, and the
-// server's hard-abort context. key routes the job through the
-// content-addressed cache with single-flight deduplication.
-func (s *Server) submit(ctx context.Context, key string, run func(context.Context) (any, error)) (any, bool, error) {
 	jctx, cancel := context.WithTimeout(ctx, s.cfg.JobTimeout)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	j := &job{ctx: jctx, key: key, enqueued: s.clk.Now(), run: s.withRetry(run), result: make(chan jobResult, 1)}
+	compute := func() (any, error) { return s.enqueue(jctx, run) }
+	if key == "" {
+		val, err = compute()
+		return val, false, err
+	}
+	return s.cache.Do(jctx, key, compute)
+}
+
+// enqueue queues one computation and waits for its result. A draining
+// server or a full queue turns it away at once; the drain check holds
+// the lock that Shutdown takes to close the queue.
+func (s *Server) enqueue(ctx context.Context, run func(context.Context) (any, error)) (any, error) {
+	j := &job{ctx: ctx, enqueued: s.clk.Now(), run: run, result: make(chan jobResult, 1)}
 
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
 		s.metrics.observeReject("draining")
-		return nil, false, ErrDraining
+		return nil, ErrDraining
 	}
 	select {
 	case s.jobs <- j:
@@ -389,16 +334,16 @@ func (s *Server) submit(ctx context.Context, key string, run func(context.Contex
 	default:
 		s.mu.RUnlock()
 		s.metrics.observeReject("queue_full")
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 
 	select {
 	case r := <-j.result:
-		return r.val, r.hit, r.err
-	case <-jctx.Done():
+		return r.val, r.err
+	case <-ctx.Done():
 		// The job may still be queued or running; the worker will see the
 		// cancelled context. Don't leak the result channel (buffered).
-		return nil, false, jctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
