@@ -41,8 +41,9 @@ import (
 type Config struct {
 	// Workers is the number of concurrent job executors (default 4).
 	Workers int
-	// QueueDepth bounds the number of jobs waiting for a worker; a full
-	// queue rejects new requests with 503 (default 64).
+	// QueueDepth bounds the number of computations waiting for a worker;
+	// a full queue turns away requests that need one with 429 (default
+	// 64). Cache hits and joined requests never queue.
 	QueueDepth int
 	// JobTimeout bounds each job's execution (default 60s).
 	JobTimeout time.Duration
