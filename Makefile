@@ -70,17 +70,23 @@ obs-smoke:
 # Run-lake determinism smoke: replay the quick corpus into two fresh
 # registries and require the aggregated stats to be byte-identical —
 # the fixed-bucket histograms, sorted groups and stable JSON rendering
-# of internal/obs/agg leave no room for drift. This smoke and
-# ledger-smoke work in a fresh `mktemp -d` directory, removed on exit,
-# so two checkouts can run them at once.
+# of internal/obs/agg leave no room for drift. `list` and `stats` must
+# then select the same deadlocked runs, through the one run filter.
+# This smoke and ledger-smoke work in a fresh `mktemp -d` directory,
+# removed on exit, so two checkouts can run them at once.
 obs-agg-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run ./cmd/mamps-runs regress -quick -keep $$d/a; \
 	$(GO) run ./cmd/mamps-runs regress -quick -keep $$d/b; \
 	$(GO) run ./cmd/mamps-runs -dir $$d/a stats -group-by corpus -json > $$d/a.json; \
 	$(GO) run ./cmd/mamps-runs -dir $$d/b stats -group-by corpus -json > $$d/b.json; \
-	cmp $$d/a.json $$d/b.json
-	@echo "obs-agg-smoke: aggregated stats byte-identical across replays"
+	cmp $$d/a.json $$d/b.json; \
+	listed=$$($(GO) run ./cmd/mamps-runs -dir $$d/a list -deadlocked -limit 0 | tail -n 1 | cut -d' ' -f3); \
+	matched=$$($(GO) run ./cmd/mamps-runs -dir $$d/a stats -deadlocked -json | sed -n 's/^  "matched": \([0-9]*\),$$/\1/p'); \
+	if [ -z "$$listed" ] || [ "$$listed" != "$$matched" ]; then \
+		echo "obs-agg-smoke: list -deadlocked counts '$$listed' run(s), stats -deadlocked matched '$$matched'"; exit 1; \
+	fi
+	@echo "obs-agg-smoke: aggregated stats byte-identical across replays; list and stats select the same runs"
 
 # Fault-injection smoke: the reduced seeded conservativeness sweep plus
 # the degraded-mode recovery and resilience tests.

@@ -1,9 +1,8 @@
 // Command mamps-runs inspects and gates the persistent run registry
 // written by mamps-serve -runlog (and by the regress replay itself).
 //
-//	mamps-runs -dir RUNLOG list [-app A] [-kind K] [-graph-key P] [-regressed] [-degraded]
-//	                            [-since T] [-until T] [-limit N] [-offset N]
-//	mamps-runs -dir RUNLOG stats [-group-by DIM] [-json] [same filters as list]
+//	mamps-runs -dir RUNLOG list [FILTERS] [-limit N] [-offset N]
+//	mamps-runs -dir RUNLOG stats [FILTERS] [-group-by DIM] [-json]
 //	mamps-runs -dir RUNLOG show ID
 //	mamps-runs -dir RUNLOG diff ID-A ID-B
 //	mamps-runs -dir RUNLOG gc [-max-records N] [-max-age D]
@@ -13,6 +12,12 @@
 //	mamps-runs -dir RUNLOG root
 //	mamps-runs regress [-baselines FILE] [-update] [-perturb N] [-perturb-energy PJ] [-quick]
 //	                   [-deterministic] [-keep DIR]
+//
+// FILTERS select records; list and stats take the same ones, as do the
+// service's GET /v1/runs and /v1/stats (in camelCase: graphKey): -app A,
+// -kind K, -graph-key P (a prefix), -baseline-key B, -corpus C,
+// -regressed, -degraded, -deadlocked, -faulted, and -since T and
+// -until T (RFC 3339).
 //
 // `stats` is the offline entry point of the run-lake aggregation
 // engine (internal/obs/agg): it streams the registry's JSONL index —
@@ -52,8 +57,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"text/tabwriter"
 	"time"
+	"unicode"
 
 	"mamps/internal/clock"
 	"mamps/internal/corpus"
@@ -107,10 +114,9 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: mamps-runs [-dir RUNLOG] COMMAND [ARGS]
 
 Commands:
-  list      list recorded runs (filters: -app, -kind, -graph-key, -regressed,
-            -degraded, -since, -until, -limit, -offset)
+  list      list recorded runs, newest first (FILTERS, -limit, -offset)
   stats     aggregate the run history: percentile summaries per group
-            (-group-by graphKey|app|kind|baselineKey|corpus|outcome|none, -json)
+            (FILTERS, -group-by graphKey|app|kind|baselineKey|corpus|outcome|none, -json)
   show ID   print one run record as JSON
   diff A B  structured comparison of two runs
   gc        enforce retention bounds (-max-records, -max-age)
@@ -121,6 +127,10 @@ Commands:
   root      print the ledger's chain root (for external pinning)
   regress   replay the example-graph corpus against checked-in baselines
             (-deterministic for byte-identical replays, -keep DIR to keep them)
+
+FILTERS (list and stats, as on GET /v1/runs and /v1/stats):
+  -app A, -kind K, -graph-key PREFIX, -baseline-key B, -corpus C,
+  -regressed, -degraded, -deadlocked, -faulted, -since T, -until T (RFC 3339)
 `)
 }
 
@@ -131,50 +141,39 @@ func openRegistry(dir string, opt runlog.Options) (*runlog.Registry, error) {
 	return runlog.Open(dir, opt)
 }
 
-// timeFlag parses an optional RFC 3339 time flag value.
-func timeFlag(name, v string) (time.Time, error) {
-	if v == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339, v)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("bad -%s %q: want RFC 3339 (%v)", name, v, err)
-	}
-	return t, nil
+// bindFilter defines the run filter's flags on fs: the flags of
+// runlog.Filter.Flags, renamed from the query string's camelCase to
+// kebab case (graphKey becomes -graph-key). It is the one filter flag
+// set of list and stats.
+func bindFilter(fs *flag.FlagSet, f *runlog.Filter) {
+	f.Flags().VisitAll(func(fl *flag.Flag) {
+		var name strings.Builder
+		for _, c := range fl.Name {
+			if unicode.IsUpper(c) {
+				name.WriteByte('-')
+				c = unicode.ToLower(c)
+			}
+			name.WriteRune(c)
+		}
+		fs.Var(fl.Value, name.String(), fl.Usage)
+	})
 }
 
 func cmdList(dir string, args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
-	app := fs.String("app", "", "filter by application name")
-	kind := fs.String("kind", "", "filter by run kind (flow, dse, analysis)")
-	graphKey := fs.String("graph-key", "", "filter by graph key (prefix match)")
-	regressed := fs.Bool("regressed", false, "only runs tagged as regressions")
-	degraded := fs.Bool("degraded", false, "only runs that ended in degraded mode")
-	since := fs.String("since", "", "only runs at or after this RFC 3339 time")
-	until := fs.String("until", "", "only runs before this RFC 3339 time")
+	var f runlog.Filter
+	bindFilter(fs, &f)
 	limit := fs.Int("limit", 20, "page size (0 = all)")
 	offset := fs.Int("offset", 0, "page offset")
 	fs.Parse(args)
-	f := runlog.Filter{
-		App: *app, Kind: *kind, GraphKey: *graphKey,
-		Regressed: *regressed, Degraded: *degraded,
-		Limit: *limit, Offset: *offset,
-	}
-	var err error
-	if f.Since, err = timeFlag("since", *since); err != nil {
-		return err
-	}
-	if f.Until, err = timeFlag("until", *until); err != nil {
-		return err
-	}
 	r, err := openRegistry(dir, runlog.Options{})
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	recs, total := r.List(f)
+	recs, total := r.List(f, *offset, *limit)
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "ID\tTIME\tKIND\tAPP\tOUTCOME\tBOUND\tTRACE\tREGRESSION")
+	fmt.Fprintln(w, "ID\tTIME\tKIND\tAPP\tOUTCOME\tBOUND\tREGRESSION")
 	for _, rec := range recs {
 		reg := "-"
 		if rec.Regression != nil {
@@ -183,13 +182,9 @@ func cmdList(dir string, args []string) error {
 				reg = "REGRESSED"
 			}
 		}
-		trace := "-"
-		if rec.TraceRetained != "" {
-			trace = rec.TraceRetained
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%.6g\t%s\t%s\n",
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%.6g\t%s\n",
 			rec.ID, rec.Time.Format(time.RFC3339), rec.Kind,
-			rec.App, rec.Outcome, rec.Bound, trace, reg)
+			rec.App, rec.Outcome, rec.Bound, reg)
 	}
 	w.Flush()
 	fmt.Printf("%d of %d run(s)\n", len(recs), total)
@@ -202,36 +197,13 @@ func cmdList(dir string, args []string) error {
 // records the lake holds.
 func cmdStats(dir string, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	app := fs.String("app", "", "filter by application name")
-	kind := fs.String("kind", "", "filter by run kind (flow, dse, analysis)")
-	graphKey := fs.String("graph-key", "", "filter by graph key (prefix match)")
-	baselineKey := fs.String("baseline-key", "", "filter by baseline key")
-	corpusName := fs.String("corpus", "", "filter by corpus entry name")
-	degraded := fs.Bool("degraded", false, "only runs that ended in degraded mode")
-	deadlocked := fs.Bool("deadlocked", false, "only deadlocked runs")
-	regressed := fs.Bool("regressed", false, "only runs tagged as regressions")
-	faulted := fs.Bool("faulted", false, "only runs executed under an injected fault")
-	since := fs.String("since", "", "only runs at or after this RFC 3339 time")
-	until := fs.String("until", "", "only runs before this RFC 3339 time")
-	groupBy := fs.String("group-by", "", "grouping dimension: graphKey (default), app, kind, baselineKey, corpus, outcome, none")
+	var q agg.Query
+	bindFilter(fs, &q.Filter)
+	fs.StringVar(&q.GroupBy, "group-by", "", "grouping dimension: graphKey (default), app, kind, baselineKey, corpus, outcome, none")
 	asJSON := fs.Bool("json", false, "print the deterministic agg.Report wire form")
 	fs.Parse(args)
 	if dir == "" {
 		return fmt.Errorf("stats needs -dir (the run registry directory)")
-	}
-	q := agg.Query{
-		App: *app, Kind: *kind, GraphKey: *graphKey,
-		BaselineKey: *baselineKey, Corpus: *corpusName,
-		Degraded: *degraded, Deadlocked: *deadlocked,
-		Regressed: *regressed, Faulted: *faulted,
-		GroupBy: *groupBy,
-	}
-	var err error
-	if q.Since, err = timeFlag("since", *since); err != nil {
-		return err
-	}
-	if q.Until, err = timeFlag("until", *until); err != nil {
-		return err
 	}
 	f, err := os.Open(filepath.Join(dir, "index.jsonl"))
 	if err != nil {

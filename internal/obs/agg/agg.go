@@ -1,4 +1,4 @@
-// Package agg is the fleet-level aggregation engine over the run
+// Package agg is the run-lake aggregation engine over the run
 // registry: a streaming query evaluator that folds runlog records —
 // read from an in-memory registry or scanned line by line from the
 // JSONL index without ever materializing it — into per-group
@@ -7,16 +7,13 @@
 // throughput, simulated cycles, energy, per-stage wall times and
 // exploration rate.
 //
-// Records are filtered (graph key, app, kind, baseline key, corpus,
-// fault presence, degraded/regressed flags, time window), grouped by a
-// chosen dimension (graph key by default), and every numeric quantity is
-// observed into a fixed-bucket obs.Histogram per group. The fleet-wide
-// "total" row and cross-node rollups are produced by obs.Histogram.Merge
-// — two Reports built on different shards over the same bucket layouts
-// merge into the Report a single node scanning both inputs would have
-// produced: counts, extremes and every histogram percentile are exactly
-// equal; only the means may differ in the last ulp (float summation
-// order). That equivalence is what makes per-shard aggregation safe.
+// Records are selected by a runlog.Filter (the one record selector,
+// shared with /v1/runs and `mamps-runs list`), grouped by a chosen
+// dimension (graph key by default), and every numeric quantity is
+// observed into a fixed-bucket obs.Histogram per group. The "total" row
+// merges the groups' histograms with obs.Histogram.Merge: its counts,
+// extremes and percentiles equal those of one group holding every
+// matched record, its means up to float summation order.
 //
 // Everything is deterministic for a deterministic input: bucket layouts
 // are fixed at compile time, group keys are sorted, and the JSON wire
@@ -34,7 +31,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"mamps/internal/obs"
 	"mamps/internal/runlog"
@@ -72,19 +68,9 @@ func GroupDims() []string {
 	return out
 }
 
-// Query selects and groups records. Zero filter fields match everything.
+// Query selects records with a runlog.Filter and groups them.
 type Query struct {
-	// App, Kind, BaselineKey and Corpus match exactly when non-empty;
-	// GraphKey matches as a prefix (keys are long hashes, a shortened
-	// prefix from a listing must resolve).
-	App, Kind, GraphKey, BaselineKey, Corpus string
-	// Degraded selects runs that ended in degraded mode; Deadlocked and
-	// Regressed select deadlocked and regression-tagged runs. Faulted
-	// selects runs executed under an injected fault spec.
-	Degraded, Deadlocked, Regressed, Faulted bool
-	// Since/Until bound the record time window (inclusive since,
-	// exclusive until; zero means unbounded).
-	Since, Until time.Time
+	runlog.Filter
 	// GroupBy is the grouping dimension: graphKey (default), app, kind,
 	// baselineKey, corpus, outcome or none.
 	GroupBy string
@@ -99,44 +85,6 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("agg: unknown groupBy %q (want one of %s)", q.GroupBy, strings.Join(GroupDims(), ", "))
 	}
 	return nil
-}
-
-// Match reports whether a record passes the query's filters.
-func (q *Query) Match(rec *runlog.Record) bool {
-	if q.App != "" && rec.App != q.App {
-		return false
-	}
-	if q.Kind != "" && rec.Kind != q.Kind {
-		return false
-	}
-	if q.GraphKey != "" && !strings.HasPrefix(rec.GraphKey, q.GraphKey) {
-		return false
-	}
-	if q.BaselineKey != "" && rec.BaselineKey != q.BaselineKey {
-		return false
-	}
-	if q.Corpus != "" && rec.Corpus != q.Corpus {
-		return false
-	}
-	if q.Degraded && rec.Outcome != "degraded" {
-		return false
-	}
-	if q.Deadlocked && rec.Outcome != "deadlock" {
-		return false
-	}
-	if q.Regressed && (rec.Regression == nil || !rec.Regression.Regressed) {
-		return false
-	}
-	if q.Faulted && rec.Config.Faults == nil {
-		return false
-	}
-	if !q.Since.IsZero() && rec.Time.Before(q.Since) {
-		return false
-	}
-	if !q.Until.IsZero() && !rec.Time.Before(q.Until) {
-		return false
-	}
-	return true
 }
 
 func (q *Query) groupKey(rec *runlog.Record) string {
@@ -176,8 +124,8 @@ func Decades125(lo, hi float64) []float64 {
 	return out
 }
 
-// bucketLayouts fixes, per metric, the histogram layout every aggregator
-// uses — shared layouts are what make cross-shard Merge well-defined.
+// bucketLayouts fixes, per metric, the histogram layout every group
+// uses — shared layouts are what let the total row merge the groups.
 var bucketLayouts = map[string]func() *obs.Histogram{
 	MetricBound:       func() *obs.Histogram { return obs.NewHistogram(Decades125(1e-9, 10)...) },
 	MetricMeasured:    func() *obs.Histogram { return obs.NewHistogram(Decades125(1e-9, 10)...) },
@@ -401,8 +349,7 @@ type Report struct {
 	Total     GroupStats   `json:"total"`
 }
 
-// Aggregator folds records into a Report. Not safe for concurrent use;
-// shard-parallel aggregation builds one Aggregator per shard and Merges.
+// Aggregator folds records into a Report. Not safe for concurrent use.
 type Aggregator struct {
 	q       Query
 	scanned int
@@ -431,26 +378,6 @@ func (a *Aggregator) Add(rec *runlog.Record) {
 		a.groups[key] = g
 	}
 	g.add(rec)
-}
-
-// Merge folds another aggregator's groups into a — the cross-shard
-// rollup. Both must have been built over the same (or compatible) metric
-// layouts, which holds for any two aggregators from this package.
-func (a *Aggregator) Merge(b *Aggregator) error {
-	a.scanned += b.scanned
-	a.matched += b.matched
-	a.trunc = a.trunc || b.trunc
-	for key, src := range b.groups {
-		dst, ok := a.groups[key]
-		if !ok {
-			dst = newGroupAcc()
-			a.groups[key] = dst
-		}
-		if err := dst.merge(src); err != nil {
-			return fmt.Errorf("group %s: %w", key, err)
-		}
-	}
-	return nil
 }
 
 // Report renders the aggregation: groups sorted by key, plus a "total"

@@ -78,39 +78,14 @@ func TestAggregateGroupsAndPercentiles(t *testing.T) {
 	}
 }
 
-func TestQueryFilters(t *testing.T) {
+// TestGroupBy: the grouping dimensions, and a filter ahead of them
+// (record selection itself is runlog.Filter's, tested there).
+func TestGroupBy(t *testing.T) {
 	recs := []runlog.Record{
 		mkRec("aaaa", "mjpeg", "ok", 0.1, 0.09, t0),
 		mkRec("bbbb", "mjpeg", "degraded", 0.1, 0.05, t0.Add(time.Hour)),
 		mkRec("cccc", "other", "deadlock", 0, 0, t0.Add(2*time.Hour)),
 	}
-	recs[1].Regression = &runlog.Regression{Regressed: true}
-
-	cases := []struct {
-		name string
-		q    Query
-		want int
-	}{
-		{"all", Query{}, 3},
-		{"app", Query{App: "mjpeg"}, 2},
-		{"graph key prefix", Query{GraphKey: "bb"}, 1},
-		{"degraded", Query{Degraded: true}, 1},
-		{"deadlocked", Query{Deadlocked: true}, 1},
-		{"regressed", Query{Regressed: true}, 1},
-		{"since", Query{Since: t0.Add(30 * time.Minute)}, 2},
-		{"until", Query{Until: t0.Add(30 * time.Minute)}, 1},
-		{"window", Query{Since: t0.Add(30 * time.Minute), Until: t0.Add(90 * time.Minute)}, 1},
-	}
-	for _, tc := range cases {
-		rep, err := Aggregate(recs, tc.q)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if rep.Matched != tc.want {
-			t.Errorf("%s: matched %d, want %d", tc.name, rep.Matched, tc.want)
-		}
-	}
-
 	if _, err := Aggregate(recs, Query{GroupBy: "bogus"}); err == nil {
 		t.Error("bogus groupBy accepted")
 	}
@@ -125,69 +100,9 @@ func TestQueryFilters(t *testing.T) {
 	if len(rep.Groups) != 1 || rep.Groups[0].Key != "(none)" {
 		t.Errorf("none groups = %+v", rep.Groups)
 	}
-}
-
-// A report built over two shards and merged must equal the single-node
-// report over the concatenated records — counts, extremes and histogram
-// percentiles exactly, means up to float summation order. That is the
-// property that makes fleet rollups safe.
-func TestShardMergeEqualsSingleNode(t *testing.T) {
-	var shard1, shard2, all []runlog.Record
-	for i := 0; i < 30; i++ {
-		rec := mkRec("kkkk", "mjpeg", "ok", 0.001*float64(i%7+1), 0.001, t0)
-		all = append(all, rec)
-		if i%2 == 0 {
-			shard1 = append(shard1, rec)
-		} else {
-			shard2 = append(shard2, rec)
-		}
-	}
-	a1 := New(Query{})
-	for i := range shard1 {
-		a1.Add(&shard1[i])
-	}
-	a2 := New(Query{})
-	for i := range shard2 {
-		a2.Add(&shard2[i])
-	}
-	if err := a1.Merge(a2); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := a1.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Aggregate(all, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Matched != single.Matched || len(merged.Groups) != len(single.Groups) {
-		t.Fatalf("headers differ: %+v vs %+v", merged, single)
-	}
-	wantDist := func(ctx string, got, want Dist) {
-		t.Helper()
-		if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
-			got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
-			t.Errorf("%s: merged %+v != single-node %+v", ctx, got, want)
-		}
-		if math.Abs(got.Mean-want.Mean) > 1e-12*math.Abs(want.Mean) {
-			t.Errorf("%s: means diverge beyond summation-order slack: %g vs %g", ctx, got.Mean, want.Mean)
-		}
-	}
-	for i, mg := range merged.Groups {
-		sg := single.Groups[i]
-		if mg.Key != sg.Key || mg.Runs != sg.Runs {
-			t.Fatalf("group %d: %+v vs %+v", i, mg, sg)
-		}
-		for name, d := range mg.Metrics {
-			wantDist(mg.Key+"/"+name, d, sg.Metrics[name])
-		}
-		for name, d := range mg.Stages {
-			wantDist(mg.Key+"/stage/"+name, d, sg.Stages[name])
-		}
-	}
-	for name, d := range merged.Total.Metrics {
-		wantDist("total/"+name, d, single.Total.Metrics[name])
+	rep, _ = Aggregate(recs, Query{Filter: runlog.Filter{App: "mjpeg"}, GroupBy: "outcome"})
+	if rep.Scanned != 3 || rep.Matched != 2 || len(rep.Groups) != 2 || rep.Groups[0].Key != "degraded" {
+		t.Errorf("filtered report = %d scanned, %d matched, groups %+v", rep.Scanned, rep.Matched, rep.Groups)
 	}
 }
 

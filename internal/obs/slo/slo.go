@@ -30,44 +30,26 @@ import (
 	"mamps/internal/clock"
 )
 
-// Objective declares one SLO. The zero values of the window and
-// threshold fields are normalized to the noted defaults.
+// The burn-rate windows and alert thresholds every objective uses: an
+// objective is "burning" while BOTH windows exceed their threshold (the
+// classic 30-day-budget page thresholds). The slow window is also the
+// retention of a tracker's ring.
+const (
+	FastWindow = 5 * time.Minute
+	SlowWindow = time.Hour
+	FastBurn   = 14.4
+	SlowBurn   = 6
+)
+
+// Objective declares one SLO.
 type Objective struct {
 	// Name labels the objective's series (mamps_slo_*{slo="<Name>"}).
 	Name string
 	// Help describes the objective in one line (shown on the board).
 	Help string
-	// Target is the good-event ratio promised, in (0,1), e.g. 0.99.
+	// Target is the good-event ratio promised, in (0,1), e.g. 0.99; any
+	// other value selects 0.99.
 	Target float64
-	// FastWindow is the short burn-rate window (default 5m); SlowWindow
-	// the long one (default 1h, also the ring's retention).
-	FastWindow, SlowWindow time.Duration
-	// FastBurn and SlowBurn are the alert thresholds: the objective is
-	// "burning" while BOTH windows exceed their threshold (defaults
-	// 14.4 and 6 — the classic 30-day-budget page thresholds).
-	FastBurn, SlowBurn float64
-}
-
-func (o Objective) withDefaults() Objective {
-	if o.Target <= 0 || o.Target >= 1 {
-		o.Target = 0.99
-	}
-	if o.FastWindow <= 0 {
-		o.FastWindow = 5 * time.Minute
-	}
-	if o.SlowWindow <= o.FastWindow {
-		o.SlowWindow = time.Hour
-		if o.SlowWindow <= o.FastWindow {
-			o.SlowWindow = 12 * o.FastWindow
-		}
-	}
-	if o.FastBurn <= 0 {
-		o.FastBurn = 14.4
-	}
-	if o.SlowBurn <= 0 {
-		o.SlowBurn = 6
-	}
-	return o
 }
 
 // bucket is one second of event counts.
@@ -90,16 +72,11 @@ type Tracker struct {
 }
 
 func newTracker(obj Objective, clk clock.Clock) *Tracker {
-	obj = obj.withDefaults()
-	secs := int64(obj.SlowWindow / time.Second)
-	if secs < 1 {
-		secs = 1
+	if obj.Target <= 0 || obj.Target >= 1 {
+		obj.Target = 0.99
 	}
-	return &Tracker{obj: obj, clk: clk, ring: make([]bucket, secs)}
+	return &Tracker{obj: obj, clk: clk, ring: make([]bucket, SlowWindow/time.Second)}
 }
-
-// Objective returns the (normalized) objective declaration.
-func (t *Tracker) Objective() Objective { return t.obj }
 
 // Observe records one event.
 func (t *Tracker) Observe(good bool) {
@@ -159,8 +136,7 @@ func (t *Tracker) Burning() bool {
 	if t == nil {
 		return false
 	}
-	return t.BurnRate(t.obj.FastWindow) > t.obj.FastBurn &&
-		t.BurnRate(t.obj.SlowWindow) > t.obj.SlowBurn
+	return t.BurnRate(FastWindow) > FastBurn && t.BurnRate(SlowWindow) > SlowBurn
 }
 
 // Totals returns the all-time good and bad event counts.
@@ -222,16 +198,6 @@ func (b *Board) Add(obj Objective) *Tracker {
 	return t
 }
 
-// Tracker returns the tracker registered under name, or nil.
-func (b *Board) Tracker(name string) *Tracker {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trackers[name]
-}
-
 // State is a point-in-time snapshot of one objective, as embedded in
 // diagnostic bundles.
 type State struct {
@@ -271,8 +237,8 @@ func (b *Board) States() []State {
 			Good:       good,
 			Bad:        bad,
 			BudgetUsed: t.BudgetUsed(),
-			FastBurn:   t.BurnRate(t.obj.FastWindow),
-			SlowBurn:   t.BurnRate(t.obj.SlowWindow),
+			FastBurn:   t.BurnRate(FastWindow),
+			SlowBurn:   t.BurnRate(SlowWindow),
 			Burning:    t.Burning(),
 		})
 	}
@@ -318,8 +284,8 @@ func (b *Board) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP mamps_slo_burn_rate Error-budget burn rate over the fast and slow windows.\n")
 	fmt.Fprintf(w, "# TYPE mamps_slo_burn_rate gauge\n")
 	for i, t := range ts {
-		fmt.Fprintf(w, "mamps_slo_burn_rate{slo=%q,window=\"fast\"} %g\n", names[i], t.BurnRate(t.obj.FastWindow))
-		fmt.Fprintf(w, "mamps_slo_burn_rate{slo=%q,window=\"slow\"} %g\n", names[i], t.BurnRate(t.obj.SlowWindow))
+		fmt.Fprintf(w, "mamps_slo_burn_rate{slo=%q,window=\"fast\"} %g\n", names[i], t.BurnRate(FastWindow))
+		fmt.Fprintf(w, "mamps_slo_burn_rate{slo=%q,window=\"slow\"} %g\n", names[i], t.BurnRate(SlowWindow))
 	}
 	emit("mamps_slo_burning", "1 while both burn-rate windows exceed their alert thresholds.", "gauge",
 		func(t *Tracker) string {

@@ -18,14 +18,14 @@ func newTestBoard() (*Board, *clock.Fake) {
 
 func TestBurnRateAndBudget(t *testing.T) {
 	b, clk := newTestBoard()
-	tr := b.Add(Objective{Name: "latency", Target: 0.9, FastWindow: time.Minute, SlowWindow: 10 * time.Minute})
+	tr := b.Add(Objective{Name: "latency", Target: 0.9})
 
 	// 100 events, 10 bad: bad ratio 0.1 == budget ratio → burn rate 1.
 	for i := 0; i < 100; i++ {
 		tr.Observe(i%10 != 0)
 		clk.Advance(time.Second)
 	}
-	if burn := tr.BurnRate(10 * time.Minute); math.Abs(burn-1) > 1e-9 {
+	if burn := tr.BurnRate(SlowWindow); math.Abs(burn-1) > 1e-9 {
 		t.Errorf("slow burn = %g, want 1", burn)
 	}
 	if used := tr.BudgetUsed(); math.Abs(used-1) > 1e-9 {
@@ -36,33 +36,33 @@ func TestBurnRateAndBudget(t *testing.T) {
 		t.Errorf("totals = %d/%d", good, bad)
 	}
 
-	// An all-bad minute: fast window burns at 1/(1-0.9) = 10.
-	for i := 0; i < 60; i++ {
+	// An all-bad fast window: it burns at 1/(1-0.9) = 10.
+	for i := 0; i < int(FastWindow/time.Second); i++ {
 		tr.Observe(false)
 		clk.Advance(time.Second)
 	}
-	if burn := tr.BurnRate(time.Minute); math.Abs(burn-10) > 1e-9 {
+	if burn := tr.BurnRate(FastWindow); math.Abs(burn-10) > 1e-9 {
 		t.Errorf("fast burn = %g, want 10", burn)
 	}
 }
 
 func TestWindowExpiry(t *testing.T) {
 	b, clk := newTestBoard()
-	tr := b.Add(Objective{Name: "x", Target: 0.99, FastWindow: time.Minute, SlowWindow: 5 * time.Minute})
+	tr := b.Add(Objective{Name: "x", Target: 0.99})
 	tr.Observe(false)
-	if tr.BurnRate(time.Minute) == 0 {
+	if tr.BurnRate(FastWindow) == 0 {
 		t.Fatal("fresh bad event not visible in the fast window")
 	}
-	clk.Advance(2 * time.Minute)
-	if burn := tr.BurnRate(time.Minute); burn != 0 {
+	clk.Advance(FastWindow + time.Minute)
+	if burn := tr.BurnRate(FastWindow); burn != 0 {
 		t.Errorf("fast burn %g after the window passed, want 0", burn)
 	}
-	if tr.BurnRate(5*time.Minute) == 0 {
+	if tr.BurnRate(SlowWindow) == 0 {
 		t.Error("slow window lost the event too early")
 	}
 	// Past the slow window the ring has recycled the bucket.
-	clk.Advance(5 * time.Minute)
-	if burn := tr.BurnRate(5 * time.Minute); burn != 0 {
+	clk.Advance(SlowWindow)
+	if burn := tr.BurnRate(SlowWindow); burn != 0 {
 		t.Errorf("slow burn %g after expiry, want 0", burn)
 	}
 	// All-time accounting is unaffected by expiry.
@@ -73,16 +73,13 @@ func TestWindowExpiry(t *testing.T) {
 
 func TestMultiwindowBurningAlert(t *testing.T) {
 	b, clk := newTestBoard()
-	tr := b.Add(Objective{
-		Name: "x", Target: 0.9,
-		FastWindow: time.Minute, SlowWindow: 10 * time.Minute,
-		FastBurn: 5, SlowBurn: 2,
-	})
+	tr := b.Add(Objective{Name: "x", Target: 0.99})
 	if tr.Burning() {
 		t.Fatal("burning with no events")
 	}
-	// Sustained total failure: both windows saturate at burn 10.
-	for i := 0; i < 120; i++ {
+	// Sustained total failure: both windows saturate at burn 100, above
+	// FastBurn and SlowBurn.
+	for i := 0; i < 600; i++ {
 		tr.Observe(false)
 		clk.Advance(time.Second)
 	}
@@ -91,15 +88,15 @@ func TestMultiwindowBurningAlert(t *testing.T) {
 	}
 	// Recovery: the fast window clears first and the alert resets even
 	// though the slow window still burns.
-	for i := 0; i < 90; i++ {
+	for i := 0; i < int(FastWindow/time.Second)+30; i++ {
 		tr.Observe(true)
 		clk.Advance(time.Second)
 	}
-	if fast := tr.BurnRate(time.Minute); fast != 0 {
+	if fast := tr.BurnRate(FastWindow); fast != 0 {
 		t.Errorf("fast burn = %g after recovery, want 0", fast)
 	}
-	if slow := tr.BurnRate(10 * time.Minute); slow <= 2 {
-		t.Errorf("slow burn = %g, expected still above threshold", slow)
+	if slow := tr.BurnRate(SlowWindow); slow <= SlowBurn {
+		t.Errorf("slow burn = %g, expected still above %g", slow, float64(SlowBurn))
 	}
 	if tr.Burning() {
 		t.Error("alert did not reset when the fast window recovered")
@@ -110,7 +107,7 @@ func TestNilSafety(t *testing.T) {
 	var b *Board
 	tr := b.Add(Objective{Name: "x"})
 	tr.Observe(true) // must not panic
-	if tr.BurnRate(time.Minute) != 0 || tr.Burning() || tr.BudgetUsed() != 0 {
+	if tr.BurnRate(FastWindow) != 0 || tr.Burning() || tr.BudgetUsed() != 0 {
 		t.Error("nil tracker not inert")
 	}
 	var sb strings.Builder

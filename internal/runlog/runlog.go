@@ -35,6 +35,7 @@ package runlog
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -933,71 +934,106 @@ func (r *Registry) ReadArtifact(id, name string) ([]byte, error) {
 	return data, nil
 }
 
-// Filter selects records for List. Zero fields match everything.
+// Filter selects records: a predicate over stored records, shared by
+// List, the run-lake aggregation (internal/obs/agg), GET /v1/runs,
+// GET /v1/stats and `mamps-runs list` and `stats`. Zero fields match
+// everything.
 type Filter struct {
-	// App, Kind, GraphKey and BaselineKey match exactly when non-empty.
-	App, Kind, GraphKey, BaselineKey string
-	// Regressed selects only runs tagged as regressions.
-	Regressed bool
-	// Degraded selects only runs that ended in degraded mode.
-	Degraded bool
+	// App, Kind, BaselineKey and Corpus match exactly when non-empty;
+	// GraphKey matches as a prefix (keys are long hashes, a shortened
+	// prefix from a listing must resolve).
+	App, Kind, GraphKey, BaselineKey, Corpus string
+	// Regressed selects runs tagged as regressions, Degraded runs that
+	// ended in degraded mode, Deadlocked deadlocked runs and Faulted
+	// runs executed under an injected fault spec.
+	Regressed, Degraded, Deadlocked, Faulted bool
 	// Since selects runs at or after the given time; Until selects runs
 	// strictly before it.
 	Since, Until time.Time
-	// Offset and Limit page through the matches, newest first. Limit 0
-	// means no bound.
-	Offset, Limit int
 }
 
-func (f *Filter) match(rec *Record) bool {
-	if f.App != "" && rec.App != f.App {
-		return false
-	}
-	if f.Kind != "" && rec.Kind != f.Kind {
-		return false
-	}
-	if f.GraphKey != "" && !strings.HasPrefix(rec.GraphKey, f.GraphKey) {
-		return false
-	}
-	if f.BaselineKey != "" && rec.BaselineKey != f.BaselineKey {
-		return false
-	}
-	if f.Regressed && (rec.Regression == nil || !rec.Regression.Regressed) {
-		return false
-	}
-	if f.Degraded && rec.Outcome != "degraded" {
-		return false
-	}
-	if !f.Since.IsZero() && rec.Time.Before(f.Since) {
-		return false
-	}
-	if !f.Until.IsZero() && !rec.Time.Before(f.Until) {
+// Match reports whether rec passes the filter.
+func (f *Filter) Match(rec *Record) bool {
+	switch {
+	case f.App != "" && rec.App != f.App,
+		f.Kind != "" && rec.Kind != f.Kind,
+		f.GraphKey != "" && !strings.HasPrefix(rec.GraphKey, f.GraphKey),
+		f.BaselineKey != "" && rec.BaselineKey != f.BaselineKey,
+		f.Corpus != "" && rec.Corpus != f.Corpus,
+		f.Regressed && (rec.Regression == nil || !rec.Regression.Regressed),
+		f.Degraded && rec.Outcome != "degraded",
+		f.Deadlocked && rec.Outcome != "deadlock",
+		f.Faulted && rec.Config.Faults == nil,
+		!f.Since.IsZero() && rec.Time.Before(f.Since),
+		!f.Until.IsZero() && !rec.Time.Before(f.Until):
 		return false
 	}
 	return true
 }
 
-// List returns the matching records, newest first, after paging, plus
-// the total number of matches before paging.
-func (r *Registry) List(f Filter) ([]Record, int) {
+// Flags returns a flag set with one flag per field of f, named as the
+// GET /v1/runs and /v1/stats query parameters (graphKey, since, ...),
+// that sets the field: strings as given, the flags regressed, degraded,
+// deadlocked and faulted as booleans, since and until as RFC 3339
+// times (empty clears the bound). Callers add their own flags to the
+// set; mamps-runs defines the same flags under kebab-case names.
+func (f *Filter) Flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("filter", flag.ContinueOnError)
+	fs.StringVar(&f.App, "app", "", "only runs of this application")
+	fs.StringVar(&f.Kind, "kind", "", "only runs of this kind (flow, dse, analysis, diag)")
+	fs.StringVar(&f.GraphKey, "graphKey", "", "only runs whose graph key starts with this prefix")
+	fs.StringVar(&f.BaselineKey, "baselineKey", "", "only runs under this baseline key")
+	fs.StringVar(&f.Corpus, "corpus", "", "only replays of this corpus entry")
+	fs.BoolVar(&f.Regressed, "regressed", false, "only runs tagged as regressions")
+	fs.BoolVar(&f.Degraded, "degraded", false, "only runs that ended in degraded mode")
+	fs.BoolVar(&f.Deadlocked, "deadlocked", false, "only deadlocked runs")
+	fs.BoolVar(&f.Faulted, "faulted", false, "only runs executed under an injected fault")
+	fs.Var((*timeValue)(&f.Since), "since", "only runs at or after this `time` (RFC 3339)")
+	fs.Var((*timeValue)(&f.Until), "until", "only runs before this `time` (RFC 3339)")
+	return fs
+}
+
+// timeValue is the flag.Value of Filter.Since and Until.
+type timeValue time.Time
+
+func (t *timeValue) Set(s string) error {
+	if s == "" {
+		*t = timeValue{}
+		return nil
+	}
+	v, err := time.Parse(time.RFC3339, s)
+	if err != nil {
+		return fmt.Errorf("want RFC 3339 (%v)", err)
+	}
+	*t = timeValue(v)
+	return nil
+}
+
+func (t *timeValue) String() string {
+	if t == nil || time.Time(*t).IsZero() {
+		return ""
+	}
+	return time.Time(*t).Format(time.RFC3339)
+}
+
+// List returns the records matching f, newest first, after skipping
+// offset of them and keeping at most limit (0 means no bound), plus the
+// total number of matches before paging.
+func (r *Registry) List(f Filter, offset, limit int) ([]Record, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var all []Record
 	for i := len(r.recs) - 1; i >= 0; i-- {
-		if f.match(&r.recs[i]) {
+		if f.Match(&r.recs[i]) {
 			all = append(all, r.recs[i])
 		}
 	}
 	total := len(all)
-	if f.Offset > 0 {
-		if f.Offset >= len(all) {
-			all = nil
-		} else {
-			all = all[f.Offset:]
-		}
+	if offset > 0 {
+		all = all[min(offset, len(all)):]
 	}
-	if f.Limit > 0 && len(all) > f.Limit {
-		all = all[:f.Limit]
+	if limit > 0 && len(all) > limit {
+		all = all[:limit]
 	}
 	return all, total
 }

@@ -3,15 +3,18 @@ package runlog
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mamps/internal/clock"
+	"mamps/internal/faults"
 )
 
 func testRecord(app string, bound float64) Record {
@@ -47,15 +50,15 @@ func TestAppendGetList(t *testing.T) {
 	}
 
 	// List is newest-first with paging and a pre-paging total.
-	recs, total := r.List(Filter{Limit: 2})
+	recs, total := r.List(Filter{}, 0, 2)
 	if total != 5 || len(recs) != 2 || recs[0].ID != ids[4] || recs[1].ID != ids[3] {
 		t.Fatalf("List page = %d/%d starting %s", len(recs), total, recs[0].ID)
 	}
-	recs, total = r.List(Filter{App: "app1"})
+	recs, total = r.List(Filter{App: "app1"}, 0, 0)
 	if total != 2 || len(recs) != 2 {
 		t.Fatalf("List(app1) total = %d", total)
 	}
-	recs, _ = r.List(Filter{Offset: 4})
+	recs, _ = r.List(Filter{}, 4, 0)
 	if len(recs) != 1 || recs[0].ID != ids[0] {
 		t.Fatalf("List offset page wrong: %+v", recs)
 	}
@@ -195,7 +198,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				r.List(Filter{Limit: 5})
+				r.List(Filter{}, 0, 5)
 				r.Len()
 			}
 		}()
@@ -297,7 +300,7 @@ func TestBaselineRegressionOnIngest(t *testing.T) {
 	}
 
 	// Regressed filter finds exactly the tagged run.
-	recs, total := r.List(Filter{Regressed: true})
+	recs, total := r.List(Filter{Regressed: true}, 0, 0)
 	if total != 1 || recs[0].ID != drifted.ID {
 		t.Errorf("List(Regressed) = %d records", total)
 	}
@@ -409,7 +412,7 @@ func TestGCMaxRecordsOnAppend(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (MaxRecords)", r.Len())
 	}
-	recs, _ := r.List(Filter{})
+	recs, _ := r.List(Filter{}, 0, 0)
 	if recs[len(recs)-1].App != "a3" {
 		t.Errorf("oldest kept = %s, want a3", recs[len(recs)-1].App)
 	}
@@ -666,15 +669,102 @@ func TestFilterDegradedAndUntil(t *testing.T) {
 		times = append(times, rec.Time)
 	}
 
-	recs, total := r.List(Filter{Degraded: true})
+	recs, total := r.List(Filter{Degraded: true}, 0, 0)
 	if total != 1 || recs[0].Outcome != "degraded" {
 		t.Fatalf("Degraded filter = %d matches: %+v", total, recs)
 	}
-	if _, total = r.List(Filter{Until: times[1]}); total != 1 {
+	if _, total = r.List(Filter{Until: times[1]}, 0, 0); total != 1 {
 		t.Errorf("Until (exclusive) = %d matches, want 1", total)
 	}
-	if _, total = r.List(Filter{Since: times[1], Until: times[2]}); total != 1 {
+	if _, total = r.List(Filter{Since: times[1], Until: times[2]}, 0, 0); total != 1 {
 		t.Errorf("window = %d matches, want 1", total)
+	}
+}
+
+// TestFilterMatch is a table over every Filter predicate: the one record
+// selector behind List, the run-lake aggregation, /v1/runs, /v1/stats
+// and `mamps-runs list` and `stats`.
+func TestFilterMatch(t *testing.T) {
+	t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	recs := []Record{
+		{Kind: "flow", App: "mjpeg", GraphKey: "aaaa", BaselineKey: "graph/aaaa", Outcome: "ok", Time: t0},
+		{Kind: "flow", App: "mjpeg", GraphKey: "bbbb", Outcome: "degraded", Time: t0.Add(time.Hour),
+			Config: ConfigSummary{Faults: &faults.Spec{Seed: 1}}, Regression: &Regression{Regressed: true}},
+		{Kind: "dse", App: "other", GraphKey: "cccc", Corpus: "fig2", Outcome: "deadlock", Time: t0.Add(2 * time.Hour),
+			Regression: &Regression{}},
+	}
+	cases := []struct {
+		name string
+		f    Filter
+		want []int // indexes into recs
+	}{
+		{"all", Filter{}, []int{0, 1, 2}},
+		{"app", Filter{App: "mjpeg"}, []int{0, 1}},
+		{"kind", Filter{Kind: "dse"}, []int{2}},
+		{"graph key prefix", Filter{GraphKey: "bb"}, []int{1}},
+		{"graph key exact", Filter{GraphKey: "cccc"}, []int{2}},
+		{"baseline key", Filter{BaselineKey: "graph/aaaa"}, []int{0}},
+		{"baseline key is exact", Filter{BaselineKey: "graph/"}, nil},
+		{"corpus", Filter{Corpus: "fig2"}, []int{2}},
+		{"regressed", Filter{Regressed: true}, []int{1}},
+		{"degraded", Filter{Degraded: true}, []int{1}},
+		{"deadlocked", Filter{Deadlocked: true}, []int{2}},
+		{"faulted", Filter{Faulted: true}, []int{1}},
+		{"since", Filter{Since: t0.Add(30 * time.Minute)}, []int{1, 2}},
+		{"until", Filter{Until: t0.Add(30 * time.Minute)}, []int{0}},
+		{"until is exclusive", Filter{Until: t0.Add(time.Hour)}, []int{0}},
+		{"window", Filter{Since: t0.Add(30 * time.Minute), Until: t0.Add(90 * time.Minute)}, []int{1}},
+		{"conjunction", Filter{App: "mjpeg", Degraded: true, Faulted: true}, []int{1}},
+		{"disjoint", Filter{Kind: "dse", Degraded: true}, nil},
+	}
+	for _, tc := range cases {
+		var got []int
+		for i := range recs {
+			if tc.f.Match(&recs[i]) {
+				got = append(got, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: matched %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFilterFlags: the filter's flag set names every field as its query
+// parameter and parses booleans and RFC 3339 times.
+func TestFilterFlags(t *testing.T) {
+	var f Filter
+	fs := f.Flags()
+	for name, v := range map[string]string{
+		"app": "mjpeg", "kind": "flow", "graphKey": "ab", "baselineKey": "graph/ab", "corpus": "fig2",
+		"regressed": "true", "degraded": "1", "deadlocked": "t", "faulted": "TRUE",
+		"since": "2026-08-01T12:00:00Z", "until": "2026-08-02T12:00:00Z",
+	} {
+		if err := fs.Set(name, v); err != nil {
+			t.Fatalf("Set(%s, %q): %v", name, v, err)
+		}
+	}
+	want := Filter{
+		App: "mjpeg", Kind: "flow", GraphKey: "ab", BaselineKey: "graph/ab", Corpus: "fig2",
+		Regressed: true, Degraded: true, Deadlocked: true, Faulted: true,
+		Since: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
+		Until: time.Date(2026, 8, 2, 12, 0, 0, 0, time.UTC),
+	}
+	if f != want {
+		t.Fatalf("filter = %+v, want %+v", f, want)
+	}
+	if err := fs.Set("since", ""); err != nil || !f.Since.IsZero() {
+		t.Errorf("empty since: %v, %v; want the bound cleared", f.Since, err)
+	}
+	for name, v := range map[string]string{"degraded": "maybe", "until": "yesterday"} {
+		if err := fs.Set(name, v); err == nil {
+			t.Errorf("Set(%s, %q) accepted", name, v)
+		}
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if fields := reflect.TypeOf(f).NumField(); n != fields {
+		t.Errorf("%d flags, want one per Filter field (%d)", n, fields)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mamps/internal/modelio"
 )
@@ -143,6 +145,46 @@ func TestIdenticalRequestsOccupyOneWorker(t *testing.T) {
 	}
 	if computed != 1 {
 		t.Fatalf("%d requests computed, want 1", computed)
+	}
+}
+
+// TestFollowersShareLeaderFailure: N identical requests whose one
+// computation fails (an infeasible flow, say) all get its error from
+// that one computation, instead of computing the key again one after
+// another.
+func TestFollowersShareLeaderFailure(t *testing.T) {
+	const n = 8
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+
+	errInfeasible := errors.New("infeasible")
+	var computations atomic.Int64
+	run := func(ctx context.Context) (any, error) {
+		computations.Add(1)
+		// Fail once every other request has joined (or after 5 s).
+		for i := 0; i < 5000 && s.Cache().Stats().Dedup < n-1; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		return nil, errInfeasible
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = s.submit(context.Background(), "k", run)
+		}(i)
+	}
+	wg.Wait()
+	if got := computations.Load(); got != 1 {
+		t.Errorf("%d identical failing requests ran %d computations, want 1", n, got)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, errInfeasible) {
+			t.Errorf("request %d: %v, want the shared %v", i, err, errInfeasible)
+		}
 	}
 }
 

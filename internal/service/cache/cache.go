@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+
+	"mamps/internal/statespace"
 )
 
 // DefaultCapacity is the entry bound used when New is given a
@@ -47,16 +49,18 @@ type call struct {
 	done chan struct{}
 	val  any
 	err  error
+	// shared marks a result the followers take as theirs (see Do).
+	shared bool
 }
 
 // Cache is a bounded, content-addressed memoization cache with
 // single-flight deduplication. All methods are safe for concurrent use.
 //
 // Errors are never cached: a failed computation is retried by the next
-// caller. A computation that panics fails with a *PanicError, which
-// every caller that joined it shares; any other failure of a leader
-// (its cancellation, its budget) is its own, and its followers compute
-// again (see Do).
+// caller. Every caller that joined a failed computation shares its
+// error, unless the failure was the leader's own — its cancellation,
+// its deadline or its state budget — and its followers compute again
+// (see Do).
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -101,10 +105,14 @@ func (c *Cache) Get(key string) (any, bool) {
 //
 // fn runs on the leader's goroutine, so it should honour the leader's
 // context itself (e.g. via statespace.Options.Interrupt). A panic in fn
-// does not propagate: the leader and its followers get a *PanicError, as
-// do followers of a leader whose fn returned an error wrapping one. A
-// follower whose leader failed with any other error joins the next
-// leader or becomes the leader itself, under its own context.
+// does not propagate: the leader and its followers get a *PanicError.
+// The followers of a failed fn share its error — the key's failure, such
+// as an infeasible request or a full job queue, is theirs too — unless
+// the failure is the leader's own: its context ended before fn returned,
+// the error wraps context.Canceled or context.DeadlineExceeded, or it is
+// a *statespace.BudgetError (keys leave the state budget out, and
+// callers ask for different ones). Such a follower joins the next leader
+// or becomes the leader itself, under its own context.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, hit bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -129,8 +137,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		var pe *PanicError
-		if cl.err == nil || errors.As(cl.err, &pe) {
+		if cl.shared {
 			return cl.val, true, cl.err
 		}
 	}
@@ -144,14 +151,26 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 			// Release the followers with the same error, or they would
 			// block forever on a key nobody is computing; nothing is
 			// stored, so the next Do recomputes.
-			cl.val, cl.err = nil, &PanicError{Value: p, Stack: debug.Stack()}
+			cl.val, cl.err, cl.shared = nil, &PanicError{Value: p, Stack: debug.Stack()}, true
 			c.finish(key, cl, false)
 			val, hit, err = nil, false, cl.err
 		}
 	}()
 	cl.val, cl.err = fn()
+	cl.shared = cl.err == nil || !ownFailure(ctx, cl.err)
 	c.finish(key, cl, cl.err == nil)
 	return cl.val, false, cl.err
+}
+
+// ownFailure reports whether a leader's error is its own rather than
+// its key's, so that its followers compute again (see Do). A panic is
+// always the key's.
+func ownFailure(ctx context.Context, err error) bool {
+	var pe *PanicError
+	var be *statespace.BudgetError
+	return !errors.As(err, &pe) && (ctx.Err() != nil ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.As(err, &be))
 }
 
 // PanicError is the error Do returns when its computation panicked. Value

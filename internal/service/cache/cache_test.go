@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mamps/internal/statespace"
 )
 
 // TestSingleFlight is the acceptance test of the dedup guarantee: N
@@ -163,6 +165,75 @@ func TestFollowerRecomputesAfterLeaderError(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Dedup != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 2 misses, 1 dedup, 1 entry", st)
+	}
+}
+
+// TestFollowerRecomputesAfterLeadersOwnFailure: a leader whose context
+// ended before its computation returned, or whose analysis ran out of
+// its state budget, failed on its own account; the follower computes
+// the key itself rather than take that error.
+func TestFollowerRecomputesAfterLeadersOwnFailure(t *testing.T) {
+	for name, fail := range map[string]func(cancel context.CancelFunc) error{
+		"state budget": func(context.CancelFunc) error {
+			return &statespace.BudgetError{Graph: "g", MaxStates: 10}
+		},
+		"leader context ended": func(cancel context.CancelFunc) error {
+			cancel()
+			return statespace.ErrInterrupted
+		},
+	} {
+		c := New(4)
+		ctx, cancel := context.WithCancel(context.Background())
+		leaderIn := make(chan struct{})
+		go c.Do(ctx, "k", func() (any, error) {
+			close(leaderIn)
+			for c.Stats().Dedup == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			return nil, fail(cancel)
+		})
+		<-leaderIn
+		v, hit, err := c.Do(context.Background(), "k", func() (any, error) { return 2, nil })
+		cancel()
+		if err != nil || hit || v != 2 {
+			t.Errorf("%s: follower = %v, hit %v, %v; want its own computed 2", name, v, hit, err)
+		}
+	}
+}
+
+// TestFollowersShareLeaderError: any other failure is the key's, and
+// every follower takes it from the one computation.
+func TestFollowersShareLeaderError(t *testing.T) {
+	const n = 8
+	c := New(4)
+	boom := errors.New("infeasible")
+	var computations atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = c.Do(context.Background(), "k", func() (any, error) {
+				computations.Add(1)
+				for j := 0; j < 5000 && c.Stats().Dedup < n-1; j++ {
+					time.Sleep(time.Millisecond)
+				}
+				return nil, boom
+			})
+		}(i)
+	}
+	wg.Wait()
+	if got := computations.Load(); got != 1 {
+		t.Errorf("%d joined callers ran %d computations, want 1", n, got)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("caller %d: %v, want the shared %v", i, err, boom)
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.InFlight != 0 {
+		t.Errorf("after the failure: %+v, want nothing cached or in flight", st)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestDeadlockDump(t *testing.T) {
 		t.Fatalf("deadlock status = %d, want 422", rr.Code)
 	}
 
-	recs, total := reg.List(runlog.Filter{Kind: "diag"})
+	recs, total := reg.List(runlog.Filter{Kind: "diag"}, 0, 0)
 	if total != 1 {
 		t.Fatalf("%d diag records after deadlock, want 1", total)
 	}
@@ -151,7 +151,7 @@ func TestDeadlockDumpSkipsCPUProfile(t *testing.T) {
 	if rr.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("deadlock status = %d, want 422", rr.Code)
 	}
-	recs, total := reg.List(runlog.Filter{Kind: "diag"})
+	recs, total := reg.List(runlog.Filter{Kind: "diag"}, 0, 0)
 	if total != 1 {
 		t.Fatalf("%d diag records after deadlock, want 1", total)
 	}
@@ -201,7 +201,7 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Fatal("response span ID equals the parent's — no child span was minted")
 	}
 
-	recs, total := reg.List(runlog.Filter{Kind: "flow"})
+	recs, total := reg.List(runlog.Filter{Kind: "flow"}, 0, 0)
 	if total != 1 {
 		t.Fatalf("%d flow records, want 1", total)
 	}

@@ -11,6 +11,9 @@ package service
 //	GET /v1/runs/{id}/trace       the run's Perfetto trace artifact
 //	GET /v1/runs/compare?a=&b=    structured diff of two runs
 //
+// The list and GET /v1/stats select runs with the one runlog.Filter,
+// set from the query string by the one strict parser, parseQuery.
+//
 // Cache hits replay a stored computation and do not append new runs, so
 // the registry records work actually performed.
 
@@ -18,13 +21,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"mamps/internal/dse"
 	"mamps/internal/flow"
@@ -272,46 +276,70 @@ func (s *Server) handleRunsList(w http.ResponseWriter, r *http.Request) {
 	if !s.runlogOr404(w) {
 		return
 	}
-	q := r.URL.Query()
-	f := runlog.Filter{
-		App:         q.Get("app"),
-		Kind:        q.Get("kind"),
-		GraphKey:    q.Get("graphKey"),
-		BaselineKey: q.Get("baselineKey"),
-		Regressed:   q.Get("regressed") == "true" || q.Get("regressed") == "1",
-		Degraded:    q.Get("degraded") == "true" || q.Get("degraded") == "1",
-		Limit:       50,
+	var f runlog.Filter
+	offset, limit := 0, 50
+	fs := f.Flags()
+	fs.Var((*count)(&offset), "offset", "matches to skip, newest first")
+	fs.Var((*count)(&limit), "limit", "page size (0 = all)")
+	if !s.parseQuery(w, r, fs) {
+		return
 	}
-	for name, dst := range map[string]*int{"limit": &f.Limit, "offset": &f.Offset} {
-		v := q.Get(name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{
-				Error: fmt.Sprintf("bad %s %q: want a non-negative integer", name, v),
-			})
-			return
-		}
-		*dst = n
-	}
-	for name, dst := range map[string]*time.Time{"since": &f.Since, "until": &f.Until} {
-		v := q.Get(name)
-		if v == "" {
-			continue
-		}
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{
-				Error: fmt.Sprintf("bad %s %q: want RFC 3339 (%v)", name, v, err),
-			})
-			return
-		}
-		*dst = t
-	}
-	recs, total := s.runlog.List(f)
+	recs, total := s.runlog.List(f, offset, limit)
 	s.writeJSON(w, http.StatusOK, modelio.RunListJSON{Total: total, Count: len(recs), Runs: recs})
+}
+
+// parseQuery sets the flags of fs — a runlog.Filter's flag set plus the
+// endpoint's own parameters — from the request's query string, the one
+// parser of /v1/runs and /v1/stats. An empty value leaves its flag
+// unset, and a repeated parameter counts once, with its first value. A
+// parameter fs does not define (a misspelt filter would otherwise
+// silently match every run) or a value its flag rejects is answered
+// with a 400 naming it, the first in sorted order when several are bad;
+// parseQuery then reports false.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, fs *flag.FlagSet) bool {
+	qp := r.URL.Query()
+	names := make([]string, 0, len(qp))
+	for name := range qp {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var err error
+	for _, name := range names {
+		v := qp.Get(name)
+		if fs.Lookup(name) == nil {
+			var known []string
+			fs.VisitAll(func(fl *flag.Flag) { known = append(known, fl.Name) })
+			err = fmt.Errorf("unknown query parameter %q (want one of %s)", name, strings.Join(known, ", "))
+		} else if v != "" {
+			if e := fs.Set(name, v); e != nil {
+				err = fmt.Errorf("bad %s %q: %v", name, v, e)
+			}
+		}
+		if err != nil {
+			s.writeJSON(w, http.StatusBadRequest, modelio.ErrorJSON{Error: err.Error(), Kind: "validation"})
+			return false
+		}
+	}
+	return true
+}
+
+// count is the flag.Value of a non-negative integer parameter.
+type count int
+
+func (c *count) Set(v string) error {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return errors.New("want a non-negative integer")
+	}
+	*c = count(n)
+	return nil
+}
+
+func (c *count) String() string {
+	if c == nil {
+		return "0"
+	}
+	return strconv.Itoa(int(*c))
 }
 
 // runID extracts and validates the {id} path segment. Go 1.22's

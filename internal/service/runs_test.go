@@ -184,6 +184,60 @@ func TestRunsEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunQueryStrict: /v1/runs and /v1/stats share one strict query
+// parser, so each answers an unknown parameter or a malformed boolean,
+// integer or time with a 400 naming it — the first in sorted order when
+// several are bad — instead of a listing of every run.
+func TestRunQueryStrict(t *testing.T) {
+	reg, err := runlog.Open(t.TempDir(), runlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	s := New(Config{Workers: 1, RunLog: reg})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	both := []string{"/v1/runs", "/v1/stats"}
+	for _, tc := range []struct {
+		paths []string
+		query string
+		want  string // the error's naming of the parameter
+	}{
+		{both, "regressed=yes", `bad regressed "yes"`},
+		{both, "regresed=1", `unknown query parameter "regresed"`},
+		{both, "faulted=2", `bad faulted "2"`},
+		{both, "since=notatime", `bad since "notatime"`},
+		{both, "until=x&since=y", `bad since "y"`},
+		{both, "kind=flow&zeta=1&alpha=2", `unknown query parameter "alpha"`},
+		{both, "offset=1&graph-key=ab", `unknown query parameter "graph-key"`},
+		{[]string{"/v1/runs"}, "limit=x", `bad limit "x"`},
+		{[]string{"/v1/runs"}, "offset=-1", `bad offset "-1"`},
+		{[]string{"/v1/runs"}, "groupBy=app", `unknown query parameter "groupBy"`},
+		{[]string{"/v1/stats"}, "limit=5", `unknown query parameter "limit"`},
+		{[]string{"/v1/stats"}, "groupBy=bogus", `bad groupBy "bogus"`},
+	} {
+		for _, path := range tc.paths {
+			resp, data := get(t, ts, path+"?"+tc.query)
+			var body modelio.ErrorJSON
+			json.Unmarshal(data, &body)
+			if resp.StatusCode != http.StatusBadRequest || body.Kind != "validation" || !strings.Contains(body.Error, tc.want) {
+				t.Errorf("GET %s?%s: %d %s; want a 400 validation error containing %s",
+					path, tc.query, resp.StatusCode, data, tc.want)
+			}
+		}
+	}
+	for _, path := range []string{
+		"/v1/runs?corpus=nope&deadlocked=1&faulted=true&degraded=&limit=0&offset=3",
+		"/v1/stats?corpus=nope&deadlocked=1&faulted=true&degraded=&groupBy=outcome",
+	} {
+		if resp, data := get(t, ts, path); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %d %s, want 200", path, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestRunsEndpointsDisabled pins the behaviour without -runlog: the
 // endpoints exist but answer 404 with a hint.
 func TestRunsEndpointsDisabled(t *testing.T) {
@@ -219,7 +273,7 @@ func TestDSERunRecorded(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dse: %d: %s", resp.StatusCode, data)
 	}
-	recs, total := reg.List(runlog.Filter{Kind: "dse"})
+	recs, total := reg.List(runlog.Filter{Kind: "dse"}, 0, 0)
 	if total != 1 {
 		t.Fatalf("dse records = %d, want 1", total)
 	}
@@ -382,7 +436,7 @@ func recordOf(t *testing.T, reg *runlog.Registry, ts *httptest.Server, path, bod
 	if missed := metricTotal(t, ts, "mamps_warmstart_misses_total") - misses; ran != missed {
 		t.Errorf("%s %s: /metrics counted %d analyses for %d explorations", path, body, ran, missed)
 	}
-	recs, _ := reg.List(runlog.Filter{Limit: 1})
+	recs, _ := reg.List(runlog.Filter{}, 0, 1)
 	return recs[0], ran, states
 }
 

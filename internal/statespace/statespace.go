@@ -354,7 +354,19 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 		e.now = e.events[0].at
 		e.finishZero()
 	}
-	return Result{}, fmt.Errorf("statespace: graph %q exceeded %d states (unbounded execution?)", g.Name, maxStates)
+	return Result{}, &BudgetError{Graph: g.Name, MaxStates: maxStates}
+}
+
+// BudgetError is the error Analyze returns when an exploration exceeds
+// its state budget (Options.MaxStates) without reaching a recurrent
+// state. The budget is the caller's: a larger one may succeed.
+type BudgetError struct {
+	Graph     string
+	MaxStates int
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("statespace: graph %q exceeded %d states (unbounded execution?)", e.Graph, e.MaxStates)
 }
 
 // keyHint estimates the packed-key length for store pre-sizing.
