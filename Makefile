@@ -49,8 +49,8 @@ bench-json:
 # code against bit-rot) plus a parseability check of the JSON report.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -timeout 20m ./...
-	$(MAKE) bench-json BENCHTIME=1x BENCH_FILE=/tmp/bench-smoke.json
-	rm -f /tmp/bench-smoke.json
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(MAKE) bench-json BENCHTIME=1x BENCH_FILE=$$d/bench-smoke.json
 
 # Telemetry-overhead gate: the kernel benchmarks run with obs disabled
 # and must not allocate a single byte more per op than the recorded

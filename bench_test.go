@@ -47,7 +47,7 @@ import (
 // benchCfg is a slightly smaller workload than the experiment default so
 // the full benchmark suite stays fast.
 func benchCfg() experiments.Config {
-	return experiments.Config{Width: 32, Height: 32, Frames: 2, Quality: 90, Loops: 2, Tiles: 5}
+	return experiments.Config{Width: 32, Height: 32, Frames: 2, Quality: 90, Tiles: 5}
 }
 
 func BenchmarkFig6aFSL(b *testing.B) {
@@ -405,7 +405,7 @@ func BenchmarkSolverMJPEG(b *testing.B) {
 	var res *solver.Result
 	for i := 0; i < b.N; i++ {
 		res, err = solver.Solve(context.Background(), cfg.App, p, solver.Options{
-			Mode: solver.Best, NodeBudget: 512, Energy: &mod,
+			NodeBudget: 512, Energy: &mod,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -417,7 +417,7 @@ func BenchmarkSolverMJPEG(b *testing.B) {
 }
 
 // BenchmarkEnergyFold measures the worst-case energy fold over a mapped
-// MJPEG decoder — the per-candidate cost the solver pays in Pareto mode.
+// MJPEG decoder — the cost the solver pays for every admitted binding.
 func BenchmarkEnergyFold(b *testing.B) {
 	cfg, _ := mjpegAppForBench(b)
 	p, err := arch.DefaultTemplate().Generate("p", 5, arch.FSL)

@@ -306,7 +306,7 @@ func printDiff(d runlog.Diff) {
 	}
 	row := func(name string, dl runlog.Delta) {
 		marker := " "
-		if dl.Changed(0) {
+		if dl.Changed() {
 			marker = "*"
 		}
 		fmt.Printf("%s %-16s %14.6g -> %-14.6g (%+.4g%%)\n", marker, name, dl.A, dl.B, dl.Rel*100)
@@ -510,8 +510,8 @@ func cmdRegress(args []string) error {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	// Zero tolerances: the kernels are deterministic, so the gate demands
-	// bit-identical numbers.
+	// The detector compares exactly: the kernels are deterministic, so
+	// the gate demands bit-identical numbers.
 	opt := runlog.Options{}
 	if *deterministic {
 		// A fixed clock plus Strip'd records makes the whole index — and

@@ -123,17 +123,15 @@ func EvaluateWith(g *sdf.Graph, d Distribution, analyze func(*sdf.Graph, statesp
 	return r.Throughput, nil
 }
 
-// Options configures Minimize.
+// Options configures Minimize and Pareto.
 type Options struct {
-	// Analysis options applied to every evaluation (e.g. schedules).
-	Analysis statespace.Options
 	// Analyze, if set, replaces the direct statespace.Analyze call of
 	// every evaluation (see EvaluateWith).
 	Analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error)
-	// MaxSteps bounds the number of capacity increments; zero selects a
-	// default of 4096.
-	MaxSteps int
 }
+
+// maxSteps bounds the number of capacity increments Minimize makes.
+const maxSteps = 4096
 
 // Minimize searches for a small buffer distribution whose throughput is at
 // least target (iterations/cycle). It starts from the per-channel lower
@@ -142,12 +140,8 @@ type Options struct {
 // by SDF3's buffer-sizing heuristics. The result is not guaranteed to be
 // globally minimal but is deadlock-free and meets the target.
 func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64, error) {
-	maxSteps := opt.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 4096
-	}
 	d := LowerBounds(g)
-	thr, err := EvaluateWith(g, d, opt.Analyze, opt.Analysis)
+	thr, err := EvaluateWith(g, d, opt.Analyze, statespace.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -165,7 +159,7 @@ func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64,
 			inc := gcd(c.SrcRate, c.DstRate)
 			trial := d.Clone()
 			trial[c.ID] += inc
-			tThr, err := EvaluateWith(g, trial, opt.Analyze, opt.Analysis)
+			tThr, err := EvaluateWith(g, trial, opt.Analyze, statespace.Options{})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -188,7 +182,7 @@ func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64,
 					trial[c.ID] += gcd(c.SrcRate, c.DstRate)
 				}
 			}
-			tThr, err := EvaluateWith(g, trial, opt.Analyze, opt.Analysis)
+			tThr, err := EvaluateWith(g, trial, opt.Analyze, statespace.Options{})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -220,7 +214,7 @@ type ParetoPoint struct {
 // improving for a full round.
 func Pareto(g *sdf.Graph, maxTotal int, opt Options) ([]ParetoPoint, error) {
 	d := LowerBounds(g)
-	thr, err := EvaluateWith(g, d, opt.Analyze, opt.Analysis)
+	thr, err := EvaluateWith(g, d, opt.Analyze, statespace.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +228,7 @@ func Pareto(g *sdf.Graph, maxTotal int, opt Options) ([]ParetoPoint, error) {
 			}
 			trial := d.Clone()
 			trial[c.ID] += gcd(c.SrcRate, c.DstRate)
-			tThr, err := EvaluateWith(g, trial, opt.Analyze, opt.Analysis)
+			tThr, err := EvaluateWith(g, trial, opt.Analyze, statespace.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mamps/internal/sdf"
@@ -130,9 +131,11 @@ func TestMinimizeAlreadyMet(t *testing.T) {
 
 func TestMinimizeUnreachableTarget(t *testing.T) {
 	g := chain(2, 3)
-	// Max possible is 1/3 (bottleneck actor b with MaxConcurrent 1).
-	if _, _, err := Minimize(g, 0.9, Options{MaxSteps: 64}); err == nil {
-		t.Fatal("expected unreachable-target error")
+	// Max possible is 1/3 (bottleneck actor b with MaxConcurrent 1): the
+	// plateau rule gives up long before the step bound.
+	_, _, err := Minimize(g, 0.9, Options{})
+	if err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("err = %v, want the unreachable-target error", err)
 	}
 }
 

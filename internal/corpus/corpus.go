@@ -270,7 +270,7 @@ func solverEntry(name string) Entry {
 		set := &obs.Set{Explorer: obs.NewExplorerStats(nil), Solver: obs.NewSolverStats(nil)}
 		mod := energy.DefaultModel()
 		mod.PEDynamicPJPerCycle += opt.PerturbEnergy
-		sopt := solver.Options{Mode: solver.Best, NodeBudget: 512, Energy: &mod, Obs: set}
+		sopt := solver.Options{NodeBudget: 512, Energy: &mod, Obs: set}
 		sopt.MapOptions.Analyze = cache.Analyzer(nil, ctx, set)
 
 		key := cache.GraphKey(app.Graph)

@@ -95,10 +95,6 @@ type Config struct {
 	UseSolver        bool
 	SolverNodeBudget int64
 
-	// Energy calibrates the per-point energy estimates; nil selects
-	// energy.DefaultModel.
-	Energy *energy.Model
-
 	// Cache, if set, memoizes the binding-aware throughput analyses of
 	// the sweep (see cache.Analyzer), so repeated sweeps (and concurrent
 	// sweeps in the mapping service) reuse every point already analyzed
@@ -197,17 +193,12 @@ func SweepContext(ctx context.Context, app *appmodel.App, cfg Config) ([]Point, 
 		workers = 1
 	}
 
-	mod := energy.DefaultModel()
-	if cfg.Energy != nil {
-		mod = *cfg.Energy
-	}
 	env := evalEnv{
 		ctx:        ctx,
 		app:        app,
 		mo:         mo,
 		useSolver:  cfg.UseSolver,
 		nodeBudget: cfg.SolverNodeBudget,
-		mod:        mod,
 		set:        cfg.Obs,
 	}
 
@@ -289,7 +280,6 @@ type evalEnv struct {
 	mo         mapping.Options
 	useSolver  bool
 	nodeBudget int64
-	mod        energy.Model
 	set        *obs.Set
 }
 
@@ -331,10 +321,8 @@ func (env evalEnv) evaluate(tiles int, ic arch.InterconnectKind, ca bool) Point 
 	var m *mapping.Mapping
 	if env.useSolver {
 		res, err := solver.Solve(env.ctx, env.app, plat, solver.Options{
-			Mode:       solver.Best,
 			NodeBudget: env.nodeBudget,
 			MapOptions: mo,
-			Energy:     &env.mod,
 			Obs:        env.set,
 		})
 		if err != nil {
@@ -354,7 +342,7 @@ func (env evalEnv) evaluate(tiles int, ic arch.InterconnectKind, ca bool) Point 
 			pt.Err = err
 			return pt
 		}
-		pt.Energy, err = env.mod.OfMapping(m)
+		pt.Energy, err = energy.DefaultModel().OfMapping(m)
 		if err != nil {
 			pt.Err = err
 			return pt

@@ -36,15 +36,17 @@ type Config struct {
 	Width, Height int
 	Frames        int
 	Quality       int
-	Loops         int // times the stream is decoded per measurement
 	Tiles         int
 }
+
+// loops is the number of times the stream is decoded per measurement.
+const loops = 2
 
 // DefaultConfig is the workload used by the experiment commands and
 // benchmarks: large enough for stable long-term averages, small enough to
 // run in seconds.
 func DefaultConfig() Config {
-	return Config{Width: 48, Height: 32, Frames: 2, Quality: 90, Loops: 2, Tiles: 5}
+	return Config{Width: 48, Height: 32, Frames: 2, Quality: 90, Tiles: 5}
 }
 
 // caseStudyBinding pins one actor per tile, the configuration of the
@@ -163,7 +165,7 @@ func runSequenceOpts(cfg Config, ic arch.InterconnectKind, kind mjpeg.SequenceKi
 		Tiles:        cfg.Tiles,
 		Interconnect: ic,
 		MapOptions:   opts,
-		Iterations:   si.MCUsPerFrame() * si.Frames * cfg.Loops,
+		Iterations:   si.MCUsPerFrame() * si.Frames * loops,
 		RefActor:     "Raster",
 		Scenario:     kind.String(),
 		CheckWCET:    true,
@@ -268,7 +270,7 @@ func CAAblation(cfg Config) (CAResult, error) {
 			return 0, 0, err
 		}
 		r, err := sim.Run(m, sim.Options{
-			Iterations: si.MCUsPerFrame() * si.Frames * cfg.Loops,
+			Iterations: si.MCUsPerFrame() * si.Frames * loops,
 			RefActor:   "Raster",
 			CheckWCET:  true,
 		})
@@ -394,7 +396,7 @@ func BufferAblation(cfg Config) ([]AblationPoint, error) {
 			return nil, err
 		}
 		r, err := sim.Run(m, sim.Options{
-			Iterations: si.MCUsPerFrame() * si.Frames * cfg.Loops,
+			Iterations: si.MCUsPerFrame() * si.Frames * loops,
 			RefActor:   "Raster", CheckWCET: true,
 		})
 		if err != nil {
@@ -437,7 +439,7 @@ func FIFOAblation(cfg Config) ([]AblationPoint, error) {
 			return nil, err
 		}
 		r, err := sim.Run(m, sim.Options{
-			Iterations: si.MCUsPerFrame() * si.Frames * cfg.Loops,
+			Iterations: si.MCUsPerFrame() * si.Frames * loops,
 			RefActor:   "Raster", CheckWCET: true,
 		})
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // smallCfg keeps the experiment tests fast.
 func smallCfg() Config {
-	return Config{Width: 32, Height: 32, Frames: 1, Quality: 85, Loops: 2, Tiles: 5}
+	return Config{Width: 32, Height: 32, Frames: 1, Quality: 85, Tiles: 5}
 }
 
 func TestFig6ShapesFSL(t *testing.T) {

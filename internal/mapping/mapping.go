@@ -25,24 +25,17 @@ import (
 	"mamps/internal/statespace"
 )
 
-// CostWeights weighs the generic cost functions that steer the binding.
-type CostWeights struct {
-	Processing    float64
-	Memory        float64
-	Communication float64
-	Latency       float64
-}
-
-// DefaultWeights balances the four costs as the SDF3 flow does by default.
-func DefaultWeights() CostWeights {
-	return CostWeights{Processing: 1, Memory: 0.25, Communication: 0.5, Latency: 0.25}
-}
+// The weights of the four generic cost functions that steer the
+// binding, balanced as the SDF3 flow does by default.
+const (
+	weightProcessing    = 1
+	weightMemory        = 0.25
+	weightCommunication = 0.5
+	weightLatency       = 0.25
+)
 
 // Options configures the mapping flow.
 type Options struct {
-	// Weights of the binding cost functions; zero value selects
-	// DefaultWeights.
-	Weights CostWeights
 	// UseCA offloads token (de)serialization to a communication assist:
 	// the Section 6.3 experiment. Serialization actors then leave the
 	// tile schedules and use the CA cost coefficients.
@@ -141,9 +134,6 @@ func Map(app *appmodel.App, p *arch.Platform, opt Options) (*Mapping, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
 		return nil, err
-	}
-	if opt.Weights == (CostWeights{}) {
-		opt.Weights = DefaultWeights()
 	}
 	if opt.BufferIterations < 2 {
 		opt.BufferIterations = 2
@@ -256,7 +246,7 @@ func (m *Mapping) bind(q []int64, opt Options) error {
 			if memUse[t]+im.InstrMem+im.DataMem > tile.InstrMem+tile.DataMem {
 				continue
 			}
-			c := m.tileCost(a, t, im, q, load, memUse, totalWork, opt.Weights)
+			c := m.tileCost(a, t, im, q, load, memUse, totalWork)
 			if best < 0 || c < bestCost {
 				best, bestCost = t, c
 			}
@@ -284,7 +274,7 @@ func maxWeight(app *appmodel.App, a *sdf.Actor, q []int64) int64 {
 
 // tileCost evaluates the weighted cost of placing actor a on tile t.
 func (m *Mapping) tileCost(a *sdf.Actor, t int, im *appmodel.Impl, q []int64,
-	load []int64, memUse []int, totalWork int64, w CostWeights) float64 {
+	load []int64, memUse []int, totalWork int64) float64 {
 	g := m.App.Graph
 	tile := m.Platform.Tiles[t]
 
@@ -302,8 +292,6 @@ func (m *Mapping) tileCost(a *sdf.Actor, t int, im *appmodel.Impl, q []int64,
 		words := float64(g.IterationTokens(c, q)) * float64(c.Words())
 		crossWords += words
 		if m.Platform.Interconnect.Kind == arch.NoC {
-			w, _ := noc.Dimension(len(m.Platform.Tiles))
-			_ = w
 			a := tileCoord(len(m.Platform.Tiles), t)
 			b := tileCoord(len(m.Platform.Tiles), ot)
 			hops += float64(abs(a.X-b.X) + abs(a.Y-b.Y))
@@ -334,7 +322,7 @@ func (m *Mapping) tileCost(a *sdf.Actor, t int, im *appmodel.Impl, q []int64,
 	communication := crossWords / totalWords
 	latency := hops / float64(len(m.Platform.Tiles))
 
-	return w.Processing*processing + w.Memory*memory + w.Communication*communication + w.Latency*latency
+	return weightProcessing*processing + weightMemory*memory + weightCommunication*communication + weightLatency*latency
 }
 
 func tileOccupied(tileOf []int, t int) bool {

@@ -408,18 +408,6 @@ func (a *Aggregator) Report() (*Report, error) {
 	return rep, nil
 }
 
-// Aggregate runs a query over in-memory records (e.g. a registry List).
-func Aggregate(recs []runlog.Record, q Query) (*Report, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	a := New(q)
-	for i := range recs {
-		a.Add(&recs[i])
-	}
-	return a.Report()
-}
-
 // ScanJSONL streams a runlog JSONL index through the query without
 // holding more than one record in memory — the entry point that scales
 // to indexes far larger than RAM. A garbled line ends the scan (every

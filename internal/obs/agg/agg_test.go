@@ -26,6 +26,19 @@ func mkRec(graphKey, app, outcome string, bound, measured float64, at time.Time)
 
 var t0 = time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 
+// aggregate folds in-memory records through the query, the way the
+// stats endpoint folds a registry's.
+func aggregate(recs []runlog.Record, q Query) (*Report, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	a := New(q)
+	for i := range recs {
+		a.Add(&recs[i])
+	}
+	return a.Report()
+}
+
 func TestAggregateGroupsAndPercentiles(t *testing.T) {
 	var recs []runlog.Record
 	// Graph A: 10 runs with bounds spread over one bucket decade.
@@ -36,7 +49,7 @@ func TestAggregateGroupsAndPercentiles(t *testing.T) {
 	recs = append(recs, mkRec("bbbb2222", "other", "ok", 0.5, 0.4, t0))
 	recs = append(recs, mkRec("bbbb2222", "other", "degraded", 0.25, 0.2, t0))
 
-	rep, err := Aggregate(recs, Query{})
+	rep, err := aggregate(recs, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +99,21 @@ func TestGroupBy(t *testing.T) {
 		mkRec("bbbb", "mjpeg", "degraded", 0.1, 0.05, t0.Add(time.Hour)),
 		mkRec("cccc", "other", "deadlock", 0, 0, t0.Add(2*time.Hour)),
 	}
-	if _, err := Aggregate(recs, Query{GroupBy: "bogus"}); err == nil {
+	if _, err := aggregate(recs, Query{GroupBy: "bogus"}); err == nil {
 		t.Error("bogus groupBy accepted")
 	}
-	rep, err := Aggregate(recs, Query{GroupBy: "outcome"})
+	rep, err := aggregate(recs, Query{GroupBy: "outcome"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Groups) != 3 || rep.Groups[0].Key != "deadlock" {
 		t.Errorf("outcome groups = %+v", rep.Groups)
 	}
-	rep, _ = Aggregate(recs, Query{GroupBy: "none"})
+	rep, _ = aggregate(recs, Query{GroupBy: "none"})
 	if len(rep.Groups) != 1 || rep.Groups[0].Key != "(none)" {
 		t.Errorf("none groups = %+v", rep.Groups)
 	}
-	rep, _ = Aggregate(recs, Query{Filter: runlog.Filter{App: "mjpeg"}, GroupBy: "outcome"})
+	rep, _ = aggregate(recs, Query{Filter: runlog.Filter{App: "mjpeg"}, GroupBy: "outcome"})
 	if rep.Scanned != 3 || rep.Matched != 2 || len(rep.Groups) != 2 || rep.Groups[0].Key != "degraded" {
 		t.Errorf("filtered report = %d scanned, %d matched, groups %+v", rep.Scanned, rep.Matched, rep.Groups)
 	}
@@ -143,7 +156,7 @@ func TestReportDeterministic(t *testing.T) {
 		mkRec("x1", "a", "ok", 0.15, 0.14, t0),
 	}
 	render := func() []byte {
-		rep, err := Aggregate(recs, Query{GroupBy: "graphKey"})
+		rep, err := aggregate(recs, Query{GroupBy: "graphKey"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -421,7 +421,7 @@ func (s *SimStats) AddTo(dst *SimStats) {
 type SolverStats struct {
 	// NodesExpanded counts search-tree nodes whose children were
 	// generated; NodesPruned counts subtrees cut by the admissible
-	// throughput bound (or, in Pareto mode, by front domination).
+	// throughput bound.
 	NodesExpanded *Counter
 	NodesPruned   *Counter
 	// Incumbents counts improvements of the best verified binding;

@@ -45,8 +45,6 @@ const (
 type Objective struct {
 	// Name labels the objective's series (mamps_slo_*{slo="<Name>"}).
 	Name string
-	// Help describes the objective in one line (shown on the board).
-	Help string
 	// Target is the good-event ratio promised, in (0,1), e.g. 0.99; any
 	// other value selects 0.99.
 	Target float64

@@ -25,17 +25,10 @@ func delta(a, b float64) Delta {
 	return d
 }
 
-// Changed reports whether the relative drift exceeds the tolerance. A
-// zero tolerance demands exact equality. A change from or to zero is
-// always beyond any finite tolerance (unless both are zero).
-func (d Delta) Changed(tol float64) bool {
-	if d.A == d.B {
-		return false
-	}
-	if d.A == 0 {
-		return true
-	}
-	return math.Abs(d.Abs) > tol*math.Abs(d.A)
+// Changed reports whether the two values differ. The flow's kernels are
+// deterministic, so any difference is a change.
+func (d Delta) Changed() bool {
+	return d.A != d.B && (d.A == 0 || math.Abs(d.Abs) > 0)
 }
 
 // StageDelta compares one named flow stage's wall time across two runs.
@@ -146,28 +139,6 @@ func (r *Registry) CompareByID(a, b string) (Diff, error) {
 	return Compare(&ra, &rb), nil
 }
 
-// Tolerances bound the relative drift the regression detector accepts in
-// each deterministic quantity (0.02 = 2%). The zero value demands
-// bit-identical reruns — the right setting for the deterministic kernels
-// of this flow, whose analysis and simulation results do not vary from
-// run to run.
-type Tolerances struct {
-	// Bound tolerates drift in the worst-case throughput bound.
-	Bound float64 `json:"bound,omitempty"`
-	// Measured tolerates drift in the measured throughput.
-	Measured float64 `json:"measured,omitempty"`
-	// Cycles tolerates drift in the total simulated cycles.
-	Cycles float64 `json:"cycles,omitempty"`
-	// States tolerates drift in the states explored by the analyses.
-	States float64 `json:"states,omitempty"`
-	// SimSteps tolerates drift in the simulator's executed steps.
-	SimSteps float64 `json:"simSteps,omitempty"`
-	// Energy tolerates drift in the per-iteration energy estimate.
-	Energy float64 `json:"energy,omitempty"`
-	// SolverNodes tolerates drift in the solver's expanded node count.
-	SolverNodes float64 `json:"solverNodes,omitempty"`
-}
-
 // Regression is the outcome of the on-ingest baseline comparison.
 type Regression struct {
 	// BaselineID names the reference record (may be empty for imported
@@ -175,16 +146,18 @@ type Regression struct {
 	BaselineID string `json:"baselineID,omitempty"`
 	// BaselineKey is the key the comparison matched on.
 	BaselineKey string `json:"baselineKey"`
-	// Regressed marks drift beyond tolerance; Reasons lists each
-	// offending quantity.
+	// Regressed marks any drift; Reasons lists each offending quantity.
 	Regressed bool     `json:"regressed"`
 	Reasons   []string `json:"reasons,omitempty"`
 	// Diff is the full structured comparison against the baseline.
 	Diff *Diff `json:"diff,omitempty"`
 }
 
-// compareToBaseline runs the regression check of rec against base.
-func compareToBaseline(base, rec *Record, tol Tolerances) *Regression {
+// compareToBaseline runs the regression check of rec against base. Every
+// compared quantity is deterministic, so the check is exact; the reasons
+// keep their "tolerance 0%" wording, which stored records carry and the
+// ledger hashes.
+func compareToBaseline(base, rec *Record) *Regression {
 	d := Compare(base, rec)
 	reg := &Regression{BaselineID: base.ID, BaselineKey: base.baselineKey(), Diff: &d}
 	reason := func(format string, args ...any) {
@@ -195,42 +168,42 @@ func compareToBaseline(base, rec *Record, tol Tolerances) *Regression {
 		reason("graph key changed: %s -> %s (model content drifted, e.g. a WCET)",
 			shortKey(base.GraphKey), shortKey(rec.GraphKey))
 	}
-	if d.Bound.Changed(tol.Bound) {
-		reason("throughput bound drifted %+.4g%% (%.6g -> %.6g, tolerance %g%%)",
-			d.Bound.Rel*100, d.Bound.A, d.Bound.B, tol.Bound*100)
+	if d.Bound.Changed() {
+		reason("throughput bound drifted %+.4g%% (%.6g -> %.6g, tolerance 0%%)",
+			d.Bound.Rel*100, d.Bound.A, d.Bound.B)
 	}
-	if d.Measured.Changed(tol.Measured) {
-		reason("measured throughput drifted %+.4g%% (%.6g -> %.6g, tolerance %g%%)",
-			d.Measured.Rel*100, d.Measured.A, d.Measured.B, tol.Measured*100)
+	if d.Measured.Changed() {
+		reason("measured throughput drifted %+.4g%% (%.6g -> %.6g, tolerance 0%%)",
+			d.Measured.Rel*100, d.Measured.A, d.Measured.B)
 	}
-	if d.Cycles.Changed(tol.Cycles) {
-		reason("measured cycles drifted %+.4g%% (%.0f -> %.0f, tolerance %g%%)",
-			d.Cycles.Rel*100, d.Cycles.A, d.Cycles.B, tol.Cycles*100)
+	if d.Cycles.Changed() {
+		reason("measured cycles drifted %+.4g%% (%.0f -> %.0f, tolerance 0%%)",
+			d.Cycles.Rel*100, d.Cycles.A, d.Cycles.B)
 	}
-	if d.StatesExplored.Changed(tol.States) {
-		reason("states explored drifted %+.4g%% (%.0f -> %.0f, tolerance %g%%)",
-			d.StatesExplored.Rel*100, d.StatesExplored.A, d.StatesExplored.B, tol.States*100)
+	if d.StatesExplored.Changed() {
+		reason("states explored drifted %+.4g%% (%.0f -> %.0f, tolerance 0%%)",
+			d.StatesExplored.Rel*100, d.StatesExplored.A, d.StatesExplored.B)
 	}
-	if d.SimSteps.Changed(tol.SimSteps) {
-		reason("simulator steps drifted %+.4g%% (%.0f -> %.0f, tolerance %g%%)",
-			d.SimSteps.Rel*100, d.SimSteps.A, d.SimSteps.B, tol.SimSteps*100)
+	if d.SimSteps.Changed() {
+		reason("simulator steps drifted %+.4g%% (%.0f -> %.0f, tolerance 0%%)",
+			d.SimSteps.Rel*100, d.SimSteps.A, d.SimSteps.B)
 	}
-	if d.EnergyPJ.Changed(tol.Energy) {
-		reason("energy per iteration drifted %+.4g%% (%.6g pJ -> %.6g pJ, tolerance %g%%; energy-model constant or binding changed)",
-			d.EnergyPJ.Rel*100, d.EnergyPJ.A, d.EnergyPJ.B, tol.Energy*100)
+	if d.EnergyPJ.Changed() {
+		reason("energy per iteration drifted %+.4g%% (%.6g pJ -> %.6g pJ, tolerance 0%%; energy-model constant or binding changed)",
+			d.EnergyPJ.Rel*100, d.EnergyPJ.A, d.EnergyPJ.B)
 	}
-	if d.SolverNodes.Changed(tol.SolverNodes) {
-		reason("solver nodes expanded drifted %+.4g%% (%.0f -> %.0f, tolerance %g%%; search order or bound changed)",
-			d.SolverNodes.Rel*100, d.SolverNodes.A, d.SolverNodes.B, tol.SolverNodes*100)
+	if d.SolverNodes.Changed() {
+		reason("solver nodes expanded drifted %+.4g%% (%.0f -> %.0f, tolerance 0%%; search order or bound changed)",
+			d.SolverNodes.Rel*100, d.SolverNodes.A, d.SolverNodes.B)
 	}
-	// Warm-start reuse decisions are replay-deterministic: compared at
-	// zero tolerance, so a silently changed reuse policy (the precursor
-	// of unsound reuse) fails loudly rather than passing on luck.
-	if d.WarmHits.Changed(0) {
+	// Warm-start reuse decisions are replay-deterministic, so a silently
+	// changed reuse policy (the precursor of unsound reuse) fails loudly
+	// rather than passing on luck.
+	if d.WarmHits.Changed() {
 		reason("warm-start hits drifted (%.0f -> %.0f exact+scaled; reuse policy changed — verify soundness before accepting)",
 			d.WarmHits.A, d.WarmHits.B)
 	}
-	if d.WarmMisses.Changed(0) {
+	if d.WarmMisses.Changed() {
 		reason("warm-start misses drifted (%.0f -> %.0f misses; reuse policy changed — verify soundness before accepting)",
 			d.WarmMisses.A, d.WarmMisses.B)
 	}

@@ -26,10 +26,10 @@
 // one reference record per baseline key (the canonical graph key plus a
 // configuration fingerprint, or an explicit corpus entry name). Every
 // Append compares the incoming record against the baseline for its key;
-// drift beyond the configured Tolerances in any deterministic quantity —
-// throughput bound, measured throughput, measured cycles, states
-// explored, simulator steps — tags the stored record with the reasons and
-// increments the mamps_regressions_total counter.
+// any drift in a deterministic quantity — throughput bound, measured
+// throughput, measured cycles, states explored, simulator steps — tags
+// the stored record with the reasons and increments the
+// mamps_regressions_total counter.
 package runlog
 
 import (
@@ -118,7 +118,7 @@ type Record struct {
 	TraceRetained string `json:"traceRetained,omitempty"`
 
 	// Regression is attached by Append when a baseline exists for the
-	// run's key; Regression.Regressed marks drift beyond tolerance.
+	// run's key; Regression.Regressed marks any drift from it.
 	Regression *Regression `json:"regression,omitempty"`
 
 	// ArtifactBlobs maps artifact names to the SHA-256 digests under
@@ -375,9 +375,6 @@ type Options struct {
 	// MaxAge expires records older than this; 0 means no age bound. Age
 	// is only enforced by GC (explicit or append-triggered).
 	MaxAge time.Duration
-	// Tolerances configure the regression detector. The zero value
-	// demands bit-identical deterministic quantities.
-	Tolerances Tolerances
 }
 
 // Registry is the persistent run registry rooted at one directory. All
@@ -767,7 +764,7 @@ func (r *Registry) Append(rec Record, artifacts ...Artifact) (Record, error) {
 	rec.BaselineKey = rec.baselineKey()
 
 	if base, ok := r.baselines[rec.BaselineKey]; ok {
-		reg := compareToBaseline(&base, &rec, r.opt.Tolerances)
+		reg := compareToBaseline(&base, &rec)
 		rec.Regression = reg
 		if reg.Regressed {
 			r.regressions.Add(1)
@@ -1018,24 +1015,38 @@ func (t *timeValue) String() string {
 
 // List returns the records matching f, newest first, after skipping
 // offset of them and keeping at most limit (0 means no bound), plus the
-// total number of matches before paging.
+// total number of matches before paging. It counts matches in place and
+// copies only the page, so a small page over a large index costs the lock
+// that Append takes one scan and no copying. The page is nil only when
+// nothing matches (it encodes as null on /v1/runs, an empty page as []).
 func (r *Registry) List(f Filter, offset, limit int) ([]Record, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var all []Record
+	var page []Record
+	total := 0
 	for i := len(r.recs) - 1; i >= 0; i-- {
-		if f.Match(&r.recs[i]) {
-			all = append(all, r.recs[i])
+		if !f.Match(&r.recs[i]) {
+			continue
 		}
+		if total >= offset && (limit <= 0 || len(page) < limit) {
+			page = append(page, r.recs[i])
+		}
+		total++
 	}
-	total := len(all)
-	if offset > 0 {
-		all = all[min(offset, len(all)):]
+	if total > 0 && page == nil {
+		page = []Record{}
 	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
+	return page, total
+}
+
+// Each calls fn on every record, newest first, under the registry lock:
+// fn must not keep the pointer or call back into the registry.
+func (r *Registry) Each(fn func(*Record)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.recs) - 1; i >= 0; i-- {
+		fn(&r.recs[i])
 	}
-	return all, total
 }
 
 // Len returns the number of records in the index.

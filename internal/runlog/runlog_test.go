@@ -64,6 +64,40 @@ func TestAppendGetList(t *testing.T) {
 	}
 }
 
+// TestListCopiesOnlyThePage: List counts matches in place and copies
+// only the page it returns, so a one-record page costs the same
+// allocations over a large index as over a small one. A page past the
+// last match is empty but not nil (it encodes as [] on /v1/runs); no
+// match at all gives nil.
+func TestListCopiesOnlyThePage(t *testing.T) {
+	allocs := func(n int) float64 {
+		r, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := 0; i < n; i++ {
+			if _, err := r.Append(testRecord("app", 0.1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if recs, total := r.List(Filter{}, n, 0); recs == nil || len(recs) != 0 || total != n {
+			t.Fatalf("page past the end = %v (nil %v), total %d", recs, recs == nil, total)
+		}
+		if recs, total := r.List(Filter{App: "none"}, 0, 0); recs != nil || total != 0 {
+			t.Fatalf("no match = %v, total %d", recs, total)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if recs, total := r.List(Filter{}, 0, 1); len(recs) != 1 || total != n {
+				t.Fatalf("List(0, 1) = %d records of %d", len(recs), total)
+			}
+		})
+	}
+	if small, large := allocs(40), allocs(400); large != small {
+		t.Fatalf("List(0, 1) allocations grow with the index: %v at 40 records, %v at 400", small, large)
+	}
+}
+
 func TestReopenRecoversIndex(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir, Options{})
@@ -308,7 +342,7 @@ func TestBaselineRegressionOnIngest(t *testing.T) {
 
 func TestBaselineSurvivesReopenAndTolerances(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, Options{Tolerances: Tolerances{Bound: 0.5}})
+	r, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +353,7 @@ func TestBaselineSurvivesReopenAndTolerances(t *testing.T) {
 	}
 	r.Close()
 
-	r2, err := Open(dir, Options{Tolerances: Tolerances{Bound: 0.5}})
+	r2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,15 +361,20 @@ func TestBaselineSurvivesReopenAndTolerances(t *testing.T) {
 	if _, ok := r2.Baseline("corpus/entry"); !ok {
 		t.Fatal("baseline lost on reopen")
 	}
-	// 25% drift is inside the 50% tolerance.
+	// The detector compares exactly: a 25% drift is a regression, with
+	// the reason text stored records have always carried.
 	in := testRecord("a", 0.15)
 	in.Corpus = "entry"
 	rec, err := r2.Append(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Regression == nil || rec.Regression.Regressed {
-		t.Fatalf("drift within tolerance flagged: %+v", rec.Regression)
+	if rec.Regression == nil || !rec.Regression.Regressed {
+		t.Fatalf("25%% drift not flagged: %+v", rec.Regression)
+	}
+	want := "throughput bound drifted -25% (0.2 -> 0.15, tolerance 0%)"
+	if len(rec.Regression.Reasons) == 0 || rec.Regression.Reasons[0] != want {
+		t.Fatalf("reasons = %q, want first %q", rec.Regression.Reasons, want)
 	}
 }
 
@@ -427,13 +466,13 @@ func TestCompareAndDiff(t *testing.T) {
 	b.Cycles = 200
 	b.Steps = []StageTime{{Name: "SDF3", Automated: true, Micros: 150}}
 	d := Compare(&a, &b)
-	if !d.Bound.Changed(0) || d.Bound.Rel != -0.5 {
+	if !d.Bound.Changed() || d.Bound.Rel != -0.5 {
 		t.Errorf("Bound delta = %+v", d.Bound)
 	}
-	if !d.Cycles.Changed(0) {
+	if !d.Cycles.Changed() {
 		t.Error("Cycles change missed")
 	}
-	if d.StatesExplored.Changed(0) {
+	if d.StatesExplored.Changed() {
 		t.Error("equal StatesExplored flagged")
 	}
 	if len(d.Stages) != 1 || d.Stages[0].Ratio != 1.5 {

@@ -260,8 +260,8 @@ var keyers = sync.Pool{New: func() any { return &keyer{h: sha256.New()} }}
 // analysisKey serializes one analysis request in a single pass over the
 // graph in declaration order: actor names and concurrency caps; channel
 // names, endpoints, rates and initial tokens; the schedules in order; the
-// reference actor; the WCET vector. The key is the raw SHA-256 of that
-// serialization, whose 32 bytes cannot equal a hex request key.
+// WCET vector. The key is the raw SHA-256 of that serialization, whose 32
+// bytes cannot equal a hex request key.
 //
 // With the tile labels beside it, the key covers everything a Result
 // depends on: DeadlockReport prints names and labels, and MaxTokens is
@@ -273,7 +273,7 @@ var keyers = sync.Pool{New: func() any { return &keyer{h: sha256.New()} }}
 // Interrupt and Telemetry plumbing.
 func analysisKey(g *sdf.Graph, opt statespace.Options) string {
 	k := keyers.Get().(*keyer)
-	b := append(k.buf[:0], "mamps/analysis/v2"...)
+	b := append(k.buf[:0], "mamps/analysis/v3"...)
 	b = binary.AppendUvarint(b, uint64(g.NumActors()))
 	for _, a := range g.Actors() {
 		b = appendString(b, a.Name)
@@ -291,7 +291,6 @@ func analysisKey(g *sdf.Graph, opt statespace.Options) string {
 		b = appendIDs(b, s.Prologue)
 		b = appendIDs(b, s.Entries)
 	}
-	b = binary.AppendVarint(b, int64(opt.ReferenceActor))
 	for _, a := range g.Actors() {
 		b = binary.AppendVarint(b, a.ExecTime)
 	}

@@ -356,11 +356,6 @@ func TestAnalysisKeyFields(t *testing.T) {
 		"static order": func() (*sdf.Graph, statespace.Options) {
 			return g, statespace.Options{Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{2, 1, 0}}}}
 		},
-		"reference actor": func() (*sdf.Graph, statespace.Options) {
-			o := sched
-			o.ReferenceActor = 1
-			return g, o
-		},
 		"channel name": func() (*sdf.Graph, statespace.Options) {
 			h := pipeline([3]int64{3, 5, 2}, 4)
 			h.Channels()[0].Name = "renamed"

@@ -158,7 +158,7 @@ func TestRunsEndpointsRoundTrip(t *testing.T) {
 		t.Error("same graph flagged as changed")
 	}
 	// 2 iterations vs the full input must show in the simulated cycles.
-	if !d.Cycles.Changed(0) {
+	if !d.Cycles.Changed() {
 		t.Errorf("iteration-count change invisible in diff: %+v", d.Cycles)
 	}
 	resp, _ = get(t, ts, "/v1/runs/compare?a="+oldest.ID)

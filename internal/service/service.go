@@ -218,18 +218,9 @@ func New(cfg Config) *Server {
 		s.runlog.AttachMetrics(reg)
 	}
 	s.slos = slo.NewBoard(cfg.Clock)
-	s.sloLatency = s.slos.Add(slo.Objective{
-		Name: "analyze_latency", Target: sloLatencyGoal,
-		Help: fmt.Sprintf("Compute requests answered within %v.", sloLatencyTarget),
-	})
-	s.sloThroughput = s.slos.Add(slo.Objective{
-		Name: "throughput_met", Target: sloThroughputGoal,
-		Help: "Recorded runs whose guaranteed bound meets their throughput constraint.",
-	})
-	s.sloRegression = s.slos.Add(slo.Objective{
-		Name: "regression_free", Target: sloRegressionGoal,
-		Help: "Recorded runs not tagged by the baseline regression detector.",
-	})
+	s.sloLatency = s.slos.Add(slo.Objective{Name: "analyze_latency", Target: sloLatencyGoal})
+	s.sloThroughput = s.slos.Add(slo.Objective{Name: "throughput_met", Target: sloThroughputGoal})
+	s.sloRegression = s.slos.Add(slo.Objective{Name: "regression_free", Target: sloRegressionGoal})
 	s.recorder = diag.NewRecorder(flightRecorderSize,
 		diag.WithNow(func() int64 { return s.clk.Now().UnixNano() }))
 	s.gcPause = reg.RegisterHistogram("mamps_gc_pause_seconds",

@@ -2,18 +2,17 @@ package service
 
 // GET /v1/stats — the run-lake aggregation endpoint: the query string
 // sets a runlog.Filter plus groupBy, parsed by the same parseQuery as
-// GET /v1/runs, and the run registry's records stream through agg into
-// the deterministic agg.Report (per-group count/min/max/mean/p50/p95/p99
-// of bound, measured and expected throughput, cycles, energy,
-// exploration rate and per-stage wall times). The same evaluator backs
-// `mamps-runs stats` offline.
+// GET /v1/runs, and the run registry's records fold into agg under the
+// registry lock, newest first, producing the deterministic agg.Report
+// (per-group count/min/max/mean/p50/p95/p99 of bound, measured and
+// expected throughput, cycles, energy, exploration rate and per-stage
+// wall times). The same evaluator backs `mamps-runs stats` offline.
 
 import (
 	"net/http"
 
 	"mamps/internal/modelio"
 	"mamps/internal/obs/agg"
-	"mamps/internal/runlog"
 )
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -29,8 +28,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !s.parseQuery(w, r, fs) {
 		return
 	}
-	recs, _ := s.runlog.List(runlog.Filter{}, 0, 0)
-	rep, err := agg.Aggregate(recs, q)
+	a := agg.New(q)
+	s.runlog.Each(a.Add)
+	rep, err := a.Report()
 	if err != nil {
 		s.writeJSON(w, http.StatusInternalServerError, modelio.ErrorJSON{Error: err.Error()})
 		return

@@ -38,17 +38,10 @@ type Options struct {
 	// RefActor names the actor whose completions are counted (default:
 	// the last actor of the graph).
 	RefActor string
-	// Warmup is the fraction of iterations discarded before measuring the
-	// long-term average throughput (default 1/4, per the paper's
-	// definition of throughput as a long-term average that excludes
-	// initialization effects).
-	Warmup float64
 	// CheckWCET aborts when a firing exceeds its implementation's WCET.
 	CheckWCET bool
 	// Scenario labels profile observations.
 	Scenario string
-	// MaxCycles aborts a runaway simulation (default 2^40).
-	MaxCycles int64
 	// Trace, if set, receives fine-grained simulator events (firing
 	// completions, token (de)serializations, word injections) for
 	// debugging and Gantt visualization.
@@ -70,6 +63,15 @@ type Options struct {
 	// "fault-failstop") and counted in Telemetry.
 	Faults *faults.Engine
 }
+
+// MaxCycles bounds the simulated time: a run whose next event lies beyond
+// it aborts as a runaway.
+const MaxCycles int64 = 1 << 40
+
+// warmup is the fraction of iterations discarded before measuring the
+// long-term average throughput, per the paper's definition of throughput
+// as a long-term average that excludes initialization effects.
+const warmup = 0.25
 
 // ErrInterrupted is returned by Run when Options.Interrupt fires before
 // the simulation completes its iterations.
@@ -308,15 +310,6 @@ func (s *Simulation) onLinkRead(cid sdf.ChannelID) { s.flag(s.chNISend[cid]) }
 func New(m *mapping.Mapping, opt Options) (*Simulation, error) {
 	if opt.Iterations <= 0 {
 		return nil, fmt.Errorf("sim: need a positive iteration count")
-	}
-	if opt.Warmup == 0 {
-		opt.Warmup = 0.25
-	}
-	if opt.Warmup < 0 || opt.Warmup >= 1 {
-		return nil, fmt.Errorf("sim: warmup fraction %v out of [0,1)", opt.Warmup)
-	}
-	if opt.MaxCycles == 0 {
-		opt.MaxCycles = 1 << 40
 	}
 	g := m.App.Graph
 	s := &Simulation{
@@ -590,8 +583,8 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 			t.maxHeap = len(s.wakes)
 		}
 		next := s.wakes[0].at
-		if next > s.opt.MaxCycles {
-			return nil, fmt.Errorf("sim: exceeded %d cycles after %d iterations", s.opt.MaxCycles, len(s.completions))
+		if next > MaxCycles {
+			return nil, fmt.Errorf("sim: exceeded %d cycles after %d iterations", MaxCycles, len(s.completions))
 		}
 		now = next
 		s.now = now
@@ -609,7 +602,7 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 		ChannelTokens: make(map[string]int64),
 	}
 	// Long-term average throughput, skipping the warm-up prefix.
-	skip := int(float64(target) * s.opt.Warmup)
+	skip := int(float64(target) * warmup)
 	if skip >= target-1 {
 		skip = 0
 	}

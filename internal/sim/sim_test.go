@@ -190,9 +190,6 @@ func TestSimOptionsValidation(t *testing.T) {
 	if _, err := New(m, Options{Iterations: 0}); err == nil {
 		t.Error("zero iterations should fail")
 	}
-	if _, err := New(m, Options{Iterations: 10, Warmup: 1.5}); err == nil {
-		t.Error("bad warmup should fail")
-	}
 	if _, err := New(m, Options{Iterations: 10, RefActor: "nope"}); err == nil {
 		t.Error("unknown ref actor should fail")
 	}

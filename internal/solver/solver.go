@@ -1,8 +1,7 @@
 // Package solver implements a global mapping search over actor→tile
 // bindings: a deterministic pure-Go branch-and-bound that finds the
-// binding with the best guaranteed throughput (or enumerates all
-// Pareto-optimal bindings over throughput × energy), instead of the
-// single greedy cost-driven binding of package mapping.
+// binding with the best guaranteed throughput, instead of the single
+// greedy cost-driven binding of package mapping.
 //
 // The formulation follows the IDeSyDe MiniZinc SDF job-scheduling model
 // (wcet matrix over actors × processors, token communication delays,
@@ -19,9 +18,7 @@
 //     actor, the total work spread over all usable tiles, and the
 //     word-rate occupancy of each crossing channel's connection. Its
 //     reciprocal is an upper bound on throughput: any subtree whose
-//     bound cannot beat the incumbent (or, in Pareto mode, whose ideal
-//     throughput/energy point is dominated by a verified front member)
-//     is pruned;
+//     bound cannot beat the incumbent is pruned;
 //   - verification: every surviving leaf is verified with the existing
 //     binding-aware state-space analysis (mapping.Map with a fixed
 //     binding, routed through whatever Analyze hook the caller injects,
@@ -50,39 +47,17 @@ import (
 	"mamps/internal/energy"
 	"mamps/internal/mapping"
 	"mamps/internal/obs"
-	"mamps/internal/pareto"
 	"mamps/internal/sdf"
 )
 
-// Mode selects what the search returns.
-type Mode int
-
-const (
-	// Best finds one binding maximizing the verified throughput (the
-	// first one found in deterministic search order among ties).
-	Best Mode = iota
-	// ParetoFront enumerates all Pareto-optimal bindings over
-	// (maximize throughput, minimize energy per iteration).
-	ParetoFront
-)
-
-func (m Mode) String() string {
-	if m == ParetoFront {
-		return "pareto"
-	}
-	return "best"
-}
-
 // Options configures a solve.
 type Options struct {
-	// Mode selects best-binding search (default) or Pareto enumeration.
-	Mode Mode
 	// NodeBudget bounds the number of search-tree nodes expanded; 0
 	// means unlimited. When the budget runs out the best result found so
 	// far is returned with Stats.BudgetExhausted set.
 	NodeBudget int64
 	// MapOptions are applied to every candidate verification (Analyze
-	// hook, UseCA, weights, buffer sizing, disabled tiles). FixedBinding
+	// hook, UseCA, buffer sizing, disabled tiles). FixedBinding
 	// must be empty: the solver owns the binding.
 	MapOptions mapping.Options
 	// Energy calibrates the per-candidate energy report; nil selects
@@ -118,9 +93,8 @@ type Stats struct {
 	// leverage.
 	NodesExpanded int64 `json:"nodesExpanded"`
 	NodesPruned   int64 `json:"nodesPruned"`
-	// Incumbents counts improvements of the best verified binding (Best
-	// mode) or additions to the front (Pareto mode); Verifications the
-	// binding-aware analyses run.
+	// Incumbents counts improvements of the best verified binding;
+	// Verifications the binding-aware analyses run.
 	Incumbents    int64 `json:"incumbents"`
 	Verifications int64 `json:"verifications"`
 	// BudgetExhausted reports that the node budget ran out before the
@@ -131,13 +105,10 @@ type Stats struct {
 
 // Result is the outcome of a solve.
 type Result struct {
-	// Best is the best verified binding (Best mode; also filled in
-	// Pareto mode with the highest-throughput front member). Nil when no
-	// feasible binding exists.
+	// Best is the best verified binding: the first one found in
+	// deterministic search order among ties. Nil when no feasible
+	// binding exists.
 	Best *Candidate
-	// Front holds all Pareto-optimal bindings over (throughput up,
-	// energy down), in discovery order (Pareto mode only).
-	Front []Candidate
 	// Stats summarizes the search effort.
 	Stats Stats
 }
@@ -171,11 +142,7 @@ type search struct {
 	occupied []int // actors per tile (for IP tiles)
 	usable   int   // non-disabled tiles
 
-	staticPJPerCycle float64
-
 	best    *Candidate
-	front   []Candidate
-	objs    [][]float64 // front objectives: {throughput, -totalPJ}
 	stats   Stats
 	solStat *obs.SolverStats
 
@@ -225,8 +192,7 @@ func Solve(ctx context.Context, app *appmodel.App, plat *arch.Platform, opt Opti
 
 	span := opt.Obs.TraceOf().Scope("solver").Begin("solve",
 		obs.String("app", app.Name),
-		obs.Int("tiles", int64(len(plat.Tiles))),
-		obs.String("mode", opt.Mode.String()))
+		obs.Int("tiles", int64(len(plat.Tiles))))
 	defer func() {
 		span.SetAttrs(
 			obs.Int("nodesExpanded", s.stats.NodesExpanded),
@@ -237,35 +203,16 @@ func Solve(ctx context.Context, app *appmodel.App, plat *arch.Platform, opt Opti
 
 	// Seed the incumbent with the greedy cost-driven binding: a strong
 	// first bound that guarantees the solver never returns worse than
-	// the existing flow, and prunes most of the tree up front. Pareto
-	// mode skips the seed — the DFS reaches the greedy binding itself,
-	// and a seeded duplicate would appear twice on the front.
-	if opt.Mode == Best {
-		if m, err := mapping.Map(app, plat, opt.MapOptions); err == nil && m.Analysis.Throughput > 0 {
-			s.stats.Verifications++
-			s.solStat.Verifications.Add(1)
-			s.admit(m)
-		}
+	// the existing flow, and prunes most of the tree up front.
+	if m, err := mapping.Map(app, plat, opt.MapOptions); err == nil && m.Analysis.Throughput > 0 {
+		s.stats.Verifications++
+		s.solStat.Verifications.Add(1)
+		s.admit(m)
 	}
 
 	err = s.dfs(0)
 	s.stats.BudgetExhausted = s.budgetHit
-
-	res := &Result{Best: s.best, Stats: s.stats}
-	if opt.Mode == ParetoFront {
-		// Drop front members dominated by later discoveries; keep
-		// discovery order.
-		for _, i := range pareto.Front(s.objs) {
-			res.Front = append(res.Front, s.front[i])
-		}
-		for i := range res.Front {
-			c := &res.Front[i]
-			if res.Best == nil || c.Throughput > res.Best.Throughput {
-				res.Best = c
-			}
-		}
-	}
-	return res, err
+	return &Result{Best: s.best, Stats: s.stats}, err
 }
 
 // prepare computes the static search tables.
@@ -371,13 +318,6 @@ func (s *search) prepare() error {
 	s.load = make([]int64, nTiles)
 	s.memUse = make([]int, nTiles)
 	s.occupied = make([]int, nTiles)
-
-	s.staticPJPerCycle = float64(nTiles) * s.mod.TileStaticPJPerCycle
-	if p.Interconnect.Kind == arch.NoC {
-		// One router per mesh position; Dimension may round up.
-		w, h := nocDimension(nTiles)
-		s.staticPJPerCycle += float64(w*h) * s.mod.RouterStaticPJPerCycle
-	}
 	return nil
 }
 
@@ -537,36 +477,14 @@ func (s *search) periodLB(nextPos int) int64 {
 }
 
 // prune reports whether the subtree below the current assignment cannot
-// contain an interesting leaf.
+// beat the incumbent: the reciprocal of its period lower bound is an
+// upper bound on the throughput of every leaf below it.
 func (s *search) prune(nextPos int) bool {
-	lb := s.periodLB(nextPos)
-	thrUB := 1 / float64(lb)
-	if s.opt.Mode == Best {
-		return s.best != nil && thrUB <= s.best.Throughput
-	}
-	// Pareto: the subtree's ideal point is the throughput upper bound
-	// paired with an energy lower bound (minimum dynamic work at the PE
-	// rate plus static power over the shortest possible period; the
-	// interconnect share only adds). If a verified front member
-	// dominates even that ideal, nothing below can join the front.
-	var minDynWork int64
-	for i := 0; i < nextPos; i++ {
-		a := s.order[i]
-		minDynWork += s.wcet[i][s.tileOf[a.ID]]
-	}
-	minDynWork += s.sumMin[nextPos]
-	energyLB := float64(minDynWork)*s.mod.PEDynamicPJPerCycle + s.staticPJPerCycle*float64(lb)
-	ideal := []float64{thrUB, -energyLB}
-	for _, o := range s.objs {
-		if pareto.Dominates(o, ideal) {
-			return true
-		}
-	}
-	return false
+	return s.best != nil && 1/float64(s.periodLB(nextPos)) <= s.best.Throughput
 }
 
 // verifyLeaf runs the binding-aware analysis on a complete assignment
-// and admits the candidate if it is interesting.
+// and admits the candidate if it beats the incumbent.
 func (s *search) verifyLeaf() {
 	mo := s.opt.MapOptions
 	mo.FixedBinding = make(map[string]int, len(s.tileOf))
@@ -582,7 +500,8 @@ func (s *search) verifyLeaf() {
 	s.admit(m)
 }
 
-// admit folds a verified mapping into the incumbent or the front.
+// admit makes a verified mapping the incumbent if its throughput is
+// higher.
 func (s *search) admit(m *mapping.Mapping) {
 	rep, err := s.mod.OfMapping(m)
 	if err != nil {
@@ -598,33 +517,9 @@ func (s *search) admit(m *mapping.Mapping) {
 	for _, a := range s.app.Graph.Actors() {
 		cand.Binding[a.Name] = m.TileOf[a.ID]
 	}
-	if s.opt.Mode == Best {
-		if s.best == nil || cand.Throughput > s.best.Throughput {
-			s.best = &cand
-			s.stats.Incumbents++
-			s.solStat.Incumbents.Add(1)
-		}
-		return
+	if s.best == nil || cand.Throughput > s.best.Throughput {
+		s.best = &cand
+		s.stats.Incumbents++
+		s.solStat.Incumbents.Add(1)
 	}
-	obj := []float64{cand.Throughput, -rep.TotalPJ}
-	for _, o := range s.objs {
-		if pareto.Dominates(o, obj) {
-			return // dominated on arrival
-		}
-	}
-	s.front = append(s.front, cand)
-	s.objs = append(s.objs, obj)
-	s.stats.Incumbents++
-	s.solStat.Incumbents.Add(1)
-}
-
-// nocDimension mirrors noc.Dimension without importing the package just
-// for one helper: the smallest W×H mesh with W*H >= n and W >= H.
-func nocDimension(n int) (int, int) {
-	w := 1
-	for w*w < n {
-		w++
-	}
-	h := (n + w - 1) / w
-	return w, h
 }

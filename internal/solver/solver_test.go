@@ -10,7 +10,6 @@ import (
 	"mamps/internal/arch"
 	"mamps/internal/energy"
 	"mamps/internal/mapping"
-	"mamps/internal/pareto"
 	"mamps/internal/sdf"
 )
 
@@ -65,16 +64,13 @@ func platform(t *testing.T, tiles int, ic arch.InterconnectKind) *arch.Platform 
 
 // bruteForce enumerates every actor→tile assignment, verifies each one
 // with the same mapping.Map path the solver uses, and returns the best
-// throughput plus the Pareto-optimal (throughput, -energyPJ) vectors as
-// a set of formatted keys.
-func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) (float64, map[string]bool) {
+// throughput.
+func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) float64 {
 	t.Helper()
 	actors := app.Graph.Actors()
 	nTiles := len(plat.Tiles)
-	mod := energy.DefaultModel()
 
 	var best float64
-	var vecs [][]float64
 	assign := make([]int, len(actors))
 	for {
 		fb := make(map[string]int, len(actors))
@@ -82,15 +78,8 @@ func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) (float64, 
 			fb[a.Name] = assign[i]
 		}
 		m, err := mapping.Map(app, plat, mapping.Options{FixedBinding: fb})
-		if err == nil && !m.Analysis.Deadlocked && m.Analysis.Throughput > 0 {
-			if m.Analysis.Throughput > best {
-				best = m.Analysis.Throughput
-			}
-			rep, err := mod.OfMapping(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vecs = append(vecs, []float64{m.Analysis.Throughput, -rep.TotalPJ})
+		if err == nil && !m.Analysis.Deadlocked && m.Analysis.Throughput > best {
+			best = m.Analysis.Throughput
 		}
 		// Next assignment in base-nTiles.
 		i := 0
@@ -105,14 +94,8 @@ func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) (float64, 
 			break
 		}
 	}
-	front := map[string]bool{}
-	for _, i := range pareto.Front(vecs) {
-		front[vecKey(vecs[i])] = true
-	}
-	return best, front
+	return best
 }
-
-func vecKey(v []float64) string { return fmt.Sprintf("%.9g/%.9g", v[0], v[1]) }
 
 // TestSolverMatchesExhaustive is the equivalence check: for small graphs
 // on 2–3 tiles the branch-and-bound must return exactly the optimal
@@ -136,12 +119,12 @@ func TestSolverMatchesExhaustive(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plat := platform(t, tc.tiles, tc.ic)
-			wantBest, wantFront := bruteForce(t, tc.app, plat)
+			wantBest := bruteForce(t, tc.app, plat)
 			if wantBest <= 0 {
 				t.Fatal("brute force found no feasible binding; test case is broken")
 			}
 
-			res, err := Solve(context.Background(), tc.app, plat, Options{Mode: Best})
+			res, err := Solve(context.Background(), tc.app, plat, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,50 +134,30 @@ func TestSolverMatchesExhaustive(t *testing.T) {
 			if res.Best.Throughput != wantBest {
 				t.Fatalf("solver best throughput %.9g, exhaustive %.9g", res.Best.Throughput, wantBest)
 			}
-
-			pres, err := Solve(context.Background(), tc.app, plat, Options{Mode: ParetoFront})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotFront := map[string]bool{}
-			for _, c := range pres.Front {
-				gotFront[vecKey([]float64{c.Throughput, -c.Energy.TotalPJ})] = true
-			}
-			if len(gotFront) != len(wantFront) {
-				t.Fatalf("front objective sets differ: solver %v, exhaustive %v", gotFront, wantFront)
-			}
-			for k := range wantFront {
-				if !gotFront[k] {
-					t.Fatalf("exhaustive front point %s missing from solver front %v", k, gotFront)
-				}
-			}
 		})
 	}
 }
 
 // TestSolverDeterministic pins the bit-identical contract: two solves of
-// the same instance serialize to the same bytes, front order included.
+// the same instance give the same best binding, throughput, energy and
+// search statistics, byte for byte.
 func TestSolverDeterministic(t *testing.T) {
 	app := diamondApp(t)
 	plat := platform(t, 3, arch.FSL)
 	run := func() []byte {
-		res, err := Solve(context.Background(), app, plat, Options{Mode: ParetoFront})
+		res, err := Solve(context.Background(), app, plat, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		type row struct {
-			Binding    map[string]int
-			Throughput float64
-			TotalPJ    float64
-		}
-		var rows []row
-		for _, c := range res.Front {
-			rows = append(rows, row{c.Binding, c.Throughput, c.Energy.TotalPJ})
+		if res.Best == nil {
+			t.Fatal("solver found no binding")
 		}
 		b, err := json.Marshal(struct {
-			Rows  []row
-			Stats Stats
-		}{rows, res.Stats})
+			Binding    map[string]int
+			Throughput float64
+			Energy     energy.Report
+			Stats      Stats
+		}{res.Best.Binding, res.Best.Throughput, res.Best.Energy, res.Stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +174,7 @@ func TestSolverDeterministic(t *testing.T) {
 func TestSolverPrunes(t *testing.T) {
 	app := chainApp(t, "c5", 60, 250, 90, 140, 40)
 	plat := platform(t, 3, arch.FSL)
-	res, err := Solve(context.Background(), app, plat, Options{Mode: Best})
+	res, err := Solve(context.Background(), app, plat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +193,7 @@ func TestSolverPrunes(t *testing.T) {
 func TestSolverNodeBudget(t *testing.T) {
 	app := chainApp(t, "c5b", 60, 250, 90, 140, 40)
 	plat := platform(t, 3, arch.FSL)
-	res, err := Solve(context.Background(), app, plat, Options{Mode: Best, NodeBudget: 2})
+	res, err := Solve(context.Background(), app, plat, Options{NodeBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +215,7 @@ func TestSolverCancellation(t *testing.T) {
 	plat := platform(t, 3, arch.FSL)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Solve(ctx, app, plat, Options{Mode: Best})
+	_, err := Solve(ctx, app, plat, Options{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -267,7 +230,7 @@ func TestSolverNeverWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(context.Background(), app, plat, Options{Mode: Best})
+	res, err := Solve(context.Background(), app, plat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

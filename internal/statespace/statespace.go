@@ -59,11 +59,6 @@ type Options struct {
 	// unbuffered) graphs. Zero selects the default of 2^20 states.
 	MaxStates int
 
-	// ReferenceActor is the actor whose completions are counted to measure
-	// iterations; its completion count divided by its repetition-vector
-	// entry gives the iteration count. Defaults to actor 0.
-	ReferenceActor sdf.ActorID
-
 	// Interrupt, if non-nil, aborts the exploration with ErrInterrupted
 	// when the channel becomes readable (typically a context's Done
 	// channel). Long-running analyses driven by the mapping service check
@@ -90,9 +85,10 @@ var ErrInterrupted = errors.New("statespace: analysis interrupted")
 type Result struct {
 	// Throughput in graph iterations per clock cycle. Zero if deadlocked.
 	Throughput float64
-	// IterationsPerPeriod and PeriodCycles give the exact rational
-	// throughput IterationsPerPeriod/PeriodCycles (in units of reference-
-	// actor firings over repetition count).
+	// FiringsPerPeriod counts the firings of the reference actor (actor
+	// 0) within one period of PeriodCycles cycles; the exact rational
+	// throughput is FiringsPerPeriod/(q[0]·PeriodCycles) iterations per
+	// cycle, q being the repetition vector.
 	FiringsPerPeriod int64
 	PeriodCycles     int64
 	// TransientCycles is the time before the periodic phase is entered.
@@ -114,6 +110,11 @@ type Result struct {
 
 // DefaultMaxStates is the state budget of an Options.MaxStates of zero.
 const DefaultMaxStates = 1 << 20
+
+// refActor is the actor whose completions count iterations: its
+// completion count divided by its repetition-vector entry is the
+// iteration count.
+const refActor sdf.ActorID = 0
 
 // tileState is the runtime state of a scheduled tile.
 type tileState struct {
@@ -264,7 +265,6 @@ type explorer struct {
 
 	now            int64
 	refCompletions int64
-	ref            sdf.ActorID
 	zeroTimeErr    error
 
 	// State-key buffers. buf's first tokPrefix bytes mirror the channel
@@ -295,12 +295,8 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 	if maxStates == 0 {
 		maxStates = DefaultMaxStates
 	}
-	ref := opt.ReferenceActor
-	if int(ref) >= g.NumActors() {
-		return Result{}, fmt.Errorf("statespace: reference actor %d out of range", ref)
-	}
 	var e explorer
-	if err := e.setup(g, opt, ref); err != nil {
+	if err := e.setup(g, opt); err != nil {
 		return Result{}, err
 	}
 	e.table = getSeenTable(e.keyHint())
@@ -334,7 +330,7 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 				MaxTokens:        e.maxTokens,
 			}
 			if period > 0 && firings > 0 {
-				res.Throughput = float64(firings) / float64(q[ref]) / float64(period)
+				res.Throughput = float64(firings) / float64(q[refActor]) / float64(period)
 			}
 			if firings == 0 {
 				// Recurrent state with no progress: deadlock (all
@@ -396,8 +392,8 @@ func (e *explorer) deadlockReport() string {
 // and runs the start fixpoint to the first stable instant. It does not
 // create the state store. A method on a caller-owned value (rather than a
 // constructor) so Analyze keeps its explorer on the stack.
-func (e *explorer) setup(g *sdf.Graph, opt Options, ref sdf.ActorID) error {
-	*e = explorer{g: g, opt: opt, ref: ref}
+func (e *explorer) setup(g *sdf.Graph, opt Options) error {
+	*e = explorer{g: g, opt: opt}
 
 	// Assign actors to tiles.
 	e.tileOf = make([]int, g.NumActors())
@@ -662,7 +658,7 @@ func (e *explorer) finishZero() {
 				ti := int(-ev.id - 1)
 				t := &e.tiles[ti]
 				e.produce(int32(t.current))
-				if t.current == e.ref {
+				if t.current == refActor {
 					e.refCompletions++
 				}
 				t.busy = false
@@ -672,7 +668,7 @@ func (e *explorer) finishZero() {
 				a := e.selfTimed[ev.id]
 				e.queues[ev.id].popFront()
 				e.produce(a)
-				if sdf.ActorID(a) == e.ref {
+				if sdf.ActorID(a) == refActor {
 					e.refCompletions++
 				}
 				e.activeCount[a]--

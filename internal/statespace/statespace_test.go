@@ -214,15 +214,6 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-func TestReferenceActorOutOfRange(t *testing.T) {
-	g := sdf.NewGraph("ref")
-	a := g.AddActor("a", 1)
-	g.Connect(a, a, 1, 1, 1)
-	if _, err := Analyze(g, Options{ReferenceActor: 7}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestResultRationalConsistent(t *testing.T) {
 	g := sdf.NewGraph("rat")
 	a := g.AddActor("a", 2)
