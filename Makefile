@@ -137,13 +137,15 @@ diag-smoke:
 	@echo "diag-smoke: bundles deterministic, dumps carry the deadlock report and profiles"
 
 # Short fuzz runs of the two wire-facing parsers (the index recovery
-# scanner and the inclusion-proof decoder) and of the Perfetto exporter
-# against its encoding/json oracle. Ten seconds each is enough to guard
-# against panics/regressions without stalling CI.
+# scanner and the inclusion-proof decoder), of the Perfetto exporter
+# against its encoding/json oracle, and of the exact throughput
+# comparison (sdf.Rate's Cmp and Meets) against math/big. Ten seconds
+# each is enough to guard against panics/regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndex$$' -fuzztime 10s ./internal/runlog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProof$$' -fuzztime 10s ./internal/runlog/ledger
 	$(GO) test -run '^$$' -fuzz '^FuzzWritePerfetto$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzRateCmp$$' -fuzztime 10s ./internal/sdf
 
 # The end-to-end benchmark program is its own module (perfbench/go.mod,
 # replacing mamps with this checkout), so `go test ./...` above never

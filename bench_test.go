@@ -411,7 +411,7 @@ func BenchmarkSolverMJPEG(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.Best.Throughput*1e6, "bound-MCU/Mcycle")
+	b.ReportMetric(res.Best.Throughput.Float()*1e6, "bound-MCU/Mcycle")
 	b.ReportMetric(float64(res.Stats.NodesExpanded), "nodes/op")
 	b.ReportMetric(float64(res.Stats.NodesPruned), "pruned/op")
 }

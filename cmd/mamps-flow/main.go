@@ -207,9 +207,9 @@ func printDegraded(res *mamps.FlowResult) {
 	fmt.Printf("  migrated actors: %v (%d bytes of program and state)\n",
 		deg.MigratedActors, deg.MigrationBytes)
 	fmt.Printf("  degraded worst-case throughput: %.6g iterations/cycle (%.4f per Mcycle)\n",
-		deg.WorstCase, flow.MCUsPerMegacycle(deg.WorstCase))
+		deg.WorstCase.Float(), flow.MCUsPerMegacycle(deg.WorstCase.Float()))
 	fmt.Printf("  degraded measured throughput:   %.6g iterations/cycle (%.4f per Mcycle)\n",
-		deg.Measured, flow.MCUsPerMegacycle(deg.Measured))
+		deg.Measured.Float(), flow.MCUsPerMegacycle(deg.Measured.Float()))
 	verdict := "MET"
 	if !deg.ConstraintMet {
 		verdict = "NOT met"

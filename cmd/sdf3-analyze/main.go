@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp.Throughput = modelio.NewThroughputJSON(thr)
+	resp.Throughput = modelio.NewThroughputJSON(thr.Float())
 
 	if *target > 0 {
 		dist, got, err := buffer.Minimize(g, *target, buffer.Options{})
@@ -74,7 +74,7 @@ func main() {
 			log.Fatal(err)
 		}
 		resp.TargetThroughput = *target
-		resp.Achieved = modelio.NewThroughputJSON(got)
+		resp.Achieved = modelio.NewThroughputJSON(got.Float())
 		for _, c := range g.Channels() {
 			if c.IsSelfLoop() {
 				continue

@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nGuaranteed: %.2f iterations/Mcycle, measured: %.2f\n",
-		m.Analysis.Throughput*1e6, res.Throughput*1e6)
+		m.Analysis.Throughput.Float()*1e6, res.Throughput.Float()*1e6)
 
 	// Compare against an all-MicroBlaze platform of the same size: the
 	// heterogeneous system should be decisively faster (the transform is
@@ -120,5 +120,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("All-MicroBlaze guarantee: %.2f iterations/Mcycle (%.1fx slower)\n",
-		mh.Analysis.Throughput*1e6, m.Analysis.Throughput/mh.Analysis.Throughput)
+		mh.Analysis.Throughput.Float()*1e6, m.Analysis.Throughput.Float()/mh.Analysis.Throughput.Float())
 }

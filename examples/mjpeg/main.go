@@ -63,7 +63,7 @@ func run(kind mjpeg.SequenceKind, ic mamps.InterconnectKind) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if res.Measured < res.WorstCase*(1-1e-9) {
+	if res.Sim.Throughput.Cmp(res.Mapping.Analysis.Throughput) < 0 {
 		log.Fatalf("%s: guarantee violated: measured %v < bound %v", kind, res.Measured, res.WorstCase)
 	}
 	fmt.Printf("%-14s %12.4f %12.4f %12.4f %8.2fx\n",

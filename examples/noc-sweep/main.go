@@ -70,10 +70,10 @@ func main() {
 			fmt.Printf("%-10s %10s %12s (%v)\n", p.Label(), "-", "-", p.Err)
 			continue
 		}
-		fmt.Printf("%-10s %10d %12.3f\n", p.Label(), p.Area.Slices, p.Throughput*1e6)
+		fmt.Printf("%-10s %10d %12.3f\n", p.Label(), p.Area.Slices, p.Throughput.Float()*1e6)
 	}
 	fmt.Println("\nPareto front (throughput vs area):")
 	for _, p := range mamps.ParetoFront(pts) {
-		fmt.Printf("  %-10s %6d slices  %8.3f MCU/Mcycle\n", p.Label(), p.Area.Slices, p.Throughput*1e6)
+		fmt.Printf("  %-10s %6d slices  %8.3f MCU/Mcycle\n", p.Label(), p.Area.Slices, p.Throughput.Float()*1e6)
 	}
 }

@@ -103,7 +103,7 @@ func LowerBounds(g *sdf.Graph) Distribution {
 
 // Evaluate returns the worst-case throughput of g under distribution d,
 // using the given analysis options (schedules are honoured).
-func Evaluate(g *sdf.Graph, d Distribution, opt statespace.Options) (float64, error) {
+func Evaluate(g *sdf.Graph, d Distribution, opt statespace.Options) (sdf.Rate, error) {
 	return EvaluateWith(g, d, nil, opt)
 }
 
@@ -111,14 +111,14 @@ func Evaluate(g *sdf.Graph, d Distribution, opt statespace.Options) (float64, er
 // the service's cache.Analyzer); nil analyze selects
 // statespace.Analyze. The entry point must be semantically equivalent to
 // statespace.Analyze.
-func EvaluateWith(g *sdf.Graph, d Distribution, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), opt statespace.Options) (float64, error) {
+func EvaluateWith(g *sdf.Graph, d Distribution, analyze func(*sdf.Graph, statespace.Options) (statespace.Result, error), opt statespace.Options) (sdf.Rate, error) {
 	if analyze == nil {
 		analyze = statespace.Analyze
 	}
 	bg, _ := Apply(g, d)
 	r, err := analyze(bg, opt)
 	if err != nil {
-		return 0, err
+		return sdf.Rate{}, err
 	}
 	return r.Throughput, nil
 }
@@ -133,20 +133,21 @@ type Options struct {
 // maxSteps bounds the number of capacity increments Minimize makes.
 const maxSteps = 4096
 
-// Minimize searches for a small buffer distribution whose throughput is at
-// least target (iterations/cycle). It starts from the per-channel lower
-// bounds and greedily grows the channel whose increment yields the best
-// throughput gain (ties broken by smallest memory cost), the strategy used
-// by SDF3's buffer-sizing heuristics. The result is not guaranteed to be
-// globally minimal but is deadlock-free and meets the target.
-func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64, error) {
+// Minimize searches for a small buffer distribution whose throughput
+// meets target (iterations/cycle, compared exactly by sdf.Rate.Meets).
+// It starts from the per-channel lower bounds and greedily grows the
+// channel whose increment yields the best throughput gain (ties broken by
+// smallest memory cost), the strategy used by SDF3's buffer-sizing
+// heuristics. The result is not guaranteed to be globally minimal but is
+// deadlock-free and meets the target.
+func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, sdf.Rate, error) {
 	d := LowerBounds(g)
 	thr, err := EvaluateWith(g, d, opt.Analyze, statespace.Options{})
 	if err != nil {
-		return nil, 0, err
+		return nil, sdf.Rate{}, err
 	}
 	for step := 0; step < maxSteps; step++ {
-		if thr >= target-1e-12 {
+		if thr.Meets(target) {
 			return d, thr, nil
 		}
 		bestThr := thr
@@ -161,12 +162,13 @@ func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64,
 			trial[c.ID] += inc
 			tThr, err := EvaluateWith(g, trial, opt.Analyze, statespace.Options{})
 			if err != nil {
-				return nil, 0, err
+				return nil, sdf.Rate{}, err
 			}
 			cost := inc * max(1, c.TokenSize)
-			if tThr > bestThr+1e-15 || (tThr == bestThr && bestCh == -1 && tThr > thr) {
+			switch cmp := tThr.Cmp(bestThr); {
+			case cmp > 0:
 				bestThr, bestCh, bestCost = tThr, int(c.ID), cost
-			} else if tThr >= bestThr-1e-15 && bestCh >= 0 && cost < bestCost && tThr > thr {
+			case cmp == 0 && bestCh >= 0 && cost < bestCost:
 				bestCh, bestCost = int(c.ID), cost
 			}
 		}
@@ -175,7 +177,6 @@ func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64,
 			// on the critical cycle conservatively: bump all channels by
 			// one step (rarely needed; prevents getting stuck at
 			// plateaus where two buffers must grow together).
-			improved := false
 			trial := d.Clone()
 			for _, c := range g.Channels() {
 				if !c.IsSelfLoop() {
@@ -184,28 +185,25 @@ func Minimize(g *sdf.Graph, target float64, opt Options) (Distribution, float64,
 			}
 			tThr, err := EvaluateWith(g, trial, opt.Analyze, statespace.Options{})
 			if err != nil {
-				return nil, 0, err
+				return nil, sdf.Rate{}, err
 			}
-			if tThr > thr+1e-15 {
-				d, thr = trial, tThr
-				improved = true
+			if tThr.Cmp(thr) <= 0 {
+				return d, thr, fmt.Errorf("buffer: target throughput %g unreachable (best %g with unlimited growth stalled)", target, thr.Float())
 			}
-			if !improved {
-				return d, thr, fmt.Errorf("buffer: target throughput %g unreachable (best %g with unlimited growth stalled)", target, thr)
-			}
+			d, thr = trial, tThr
 			continue
 		}
 		d[bestCh] += gcd(g.Channel(sdf.ChannelID(bestCh)).SrcRate, g.Channel(sdf.ChannelID(bestCh)).DstRate)
 		thr = bestThr
 	}
-	return d, thr, fmt.Errorf("buffer: no distribution meeting throughput %g within %d steps (reached %g)", target, maxSteps, thr)
+	return d, thr, fmt.Errorf("buffer: no distribution meeting throughput %g within %d steps (reached %g)", target, maxSteps, thr.Float())
 }
 
 // ParetoPoint is one point of the storage/throughput trade-off.
 type ParetoPoint struct {
 	Distribution Distribution
 	TotalTokens  int
-	Throughput   float64
+	Throughput   sdf.Rate
 }
 
 // Pareto sweeps buffer budgets from the lower bounds upward and returns the
@@ -232,7 +230,7 @@ func Pareto(g *sdf.Graph, maxTotal int, opt Options) ([]ParetoPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tThr > bestThr+1e-15 {
+			if tThr.Cmp(bestThr) > 0 {
 				bestThr, bestCh = tThr, int(c.ID)
 			}
 		}

@@ -1,17 +1,12 @@
 package buffer
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"mamps/internal/sdf"
 	"mamps/internal/statespace"
 )
-
-func almostEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 // chain builds a 1->1 chain a(ta) -> b(tb) with no back-pressure (buffer
 // sizing must add it).
@@ -87,16 +82,16 @@ func TestEvaluateChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(thr, 0.2) {
-		t.Fatalf("cap=1 throughput = %v, want 0.2", thr)
+	if thr.Cmp(sdf.Rate{Firings: 1, Q: 1, Period: 5}) != 0 {
+		t.Fatalf("cap=1 throughput = %+v, want 1/5", thr)
 	}
 	// Capacity 2: pipelined, bottleneck b: period 3.
 	thr2, err := Evaluate(g, Distribution{2}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(thr2, 1.0/3) {
-		t.Fatalf("cap=2 throughput = %v, want 1/3", thr2)
+	if thr2.Cmp(sdf.Rate{Firings: 1, Q: 1, Period: 3}) != 0 {
+		t.Fatalf("cap=2 throughput = %+v, want 1/3", thr2)
 	}
 }
 
@@ -106,11 +101,29 @@ func TestMinimizeMeetsTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if thr < 1.0/3-1e-12 {
-		t.Fatalf("throughput %v below target", thr)
+	if !thr.Meets(1.0 / 3) {
+		t.Fatalf("throughput %+v below target", thr)
 	}
 	if d[0] != 2 {
 		t.Fatalf("capacity = %d, want minimal 2", d[0])
+	}
+}
+
+// TestMinimizeMeetsTargetExactly: a target a hair above a reachable
+// throughput (capacity 1 gives exactly 1/5) is not met by it; an
+// absolute 1e-12 tolerance would call it met.
+func TestMinimizeMeetsTargetExactly(t *testing.T) {
+	g := chain(2, 3)
+	target := 0.2 + 5e-13
+	d, thr, err := Minimize(g, target, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !thr.Meets(target) || thr.Float() < target {
+		t.Fatalf("achieved %v below target %v", thr.Float(), target)
+	}
+	if d[0] != 2 {
+		t.Fatalf("capacity = %d, want 2 (1/3 is the next throughput)", d[0])
 	}
 }
 
@@ -124,8 +137,8 @@ func TestMinimizeAlreadyMet(t *testing.T) {
 	if d[0] != lb[0] {
 		t.Fatalf("capacity grew to %d though lower bound suffices", d[0])
 	}
-	if thr < 0.1 {
-		t.Fatalf("throughput = %v", thr)
+	if !thr.Meets(0.1) {
+		t.Fatalf("throughput = %+v", thr)
 	}
 }
 
@@ -152,8 +165,8 @@ func TestMinimizeMultiRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if thr < 1.0/6-1e-12 {
-		t.Fatalf("thr = %v", thr)
+	if !thr.Meets(1.0 / 6) {
+		t.Fatalf("thr = %+v", thr)
 	}
 	if d[0] < 4 {
 		t.Fatalf("capacity %d below structural lower bound", d[0])
@@ -192,7 +205,7 @@ func TestParetoMonotone(t *testing.T) {
 		t.Fatalf("expected at least 2 Pareto points, got %d", len(pts))
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Throughput <= pts[i-1].Throughput {
+		if pts[i].Throughput.Cmp(pts[i-1].Throughput) <= 0 {
 			t.Errorf("Pareto not strictly improving at %d: %v -> %v", i, pts[i-1].Throughput, pts[i].Throughput)
 		}
 		if pts[i].TotalTokens <= pts[i-1].TotalTokens {
@@ -230,7 +243,7 @@ func TestMonotonicityProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if thr < prev-1e-12 {
+			if thr.Cmp(prev) < 0 {
 				t.Fatalf("increasing channel %d by %d decreased throughput %v -> %v", ch, inc, prev, thr)
 			}
 		}
@@ -248,7 +261,7 @@ func TestEvaluateWithSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One tile: fully sequential, period 5.
-	if !almostEqual(thr, 0.2) {
-		t.Fatalf("scheduled throughput = %v, want 0.2", thr)
+	if thr.Cmp(sdf.Rate{Firings: 1, Q: 1, Period: 5}) != 0 {
+		t.Fatalf("scheduled throughput = %+v, want 1/5", thr)
 	}
 }

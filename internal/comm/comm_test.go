@@ -154,11 +154,11 @@ func TestExpandedThroughputAnalyzable(t *testing.T) {
 	if r.Deadlocked {
 		t.Fatal("expanded graph deadlocked")
 	}
-	if r.Throughput <= 0 {
+	if r.Throughput.IsZero() {
 		t.Fatalf("throughput = %v", r.Throughput)
 	}
 	// Communication costs time: slower than the 20-cycle actors alone.
-	if r.Throughput >= 1.0/20 {
+	if r.Throughput.Float() >= 1.0/20 {
 		t.Errorf("throughput %v should be below 1/20 (comm adds delay)", r.Throughput)
 	}
 }
@@ -177,7 +177,7 @@ func TestLargeTokenOverShallowFIFONoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Deadlocked || r.Throughput <= 0 {
+	if r.Deadlocked || r.Throughput.IsZero() {
 		t.Fatalf("result = %+v, want live execution", r)
 	}
 }
@@ -215,7 +215,7 @@ func TestCAImprovesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rCA.Throughput <= rPE.Throughput {
+	if rCA.Throughput.Cmp(rPE.Throughput) <= 0 {
 		t.Fatalf("CA throughput %v should beat PE serialization %v", rCA.Throughput, rPE.Throughput)
 	}
 }
@@ -261,7 +261,7 @@ func TestNoCSlowerThanFSL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Throughput
+		return r.Throughput.Float()
 	}
 	f, n := thr(pf), thr(pn)
 	if n > f {
@@ -310,7 +310,7 @@ func TestExpandMultiRateChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Deadlocked || r.Throughput <= 0 {
+	if r.Deadlocked || r.Throughput.IsZero() {
 		t.Fatalf("result = %+v", r)
 	}
 	_ = almostEqual

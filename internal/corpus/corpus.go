@@ -174,7 +174,7 @@ func analysisEntry(name string, build func() (*sdf.Graph, statespace.Options)) E
 			Corpus:   name,
 			GraphKey: key,
 			Outcome:  "ok",
-			Bound:    r.Throughput,
+			Bound:    r.Throughput.Float(),
 			Counters: runlog.CountersFrom(&obs.Set{Explorer: stats}),
 		}
 		if r.Deadlocked {
@@ -287,7 +287,7 @@ func solverEntry(name string) Entry {
 			Corpus:   name,
 			GraphKey: key,
 			Outcome:  "ok",
-			Bound:    res.Best.Throughput,
+			Bound:    res.Best.Throughput.Float(),
 			EnergyPJ: res.Best.Energy.TotalPJ,
 			AvgWatts: res.Best.Energy.AvgWatts,
 			Config: runlog.ConfigSummary{
@@ -355,7 +355,7 @@ func warmEntry(name string) Entry {
 					"warm-start reuse is UNSOUND: request %d warm result %+v != cold result %+v", i, got, want)
 			}
 			if i == 0 {
-				bound = got.Throughput
+				bound = got.Throughput.Float()
 			}
 		}
 		return runlog.Record{

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,8 @@ import (
 	"mamps/internal/energy"
 	"mamps/internal/mapping"
 	"mamps/internal/obs"
-	"mamps/internal/pareto"
 	"mamps/internal/platgen"
+	"mamps/internal/sdf"
 	"mamps/internal/service/cache"
 	"mamps/internal/solver"
 )
@@ -46,8 +47,8 @@ type Point struct {
 	UseCA        bool
 
 	// Throughput is the guaranteed worst-case throughput of the best
-	// mapping found (iterations per cycle); zero when mapping failed.
-	Throughput float64
+	// mapping found, exact; zero when mapping failed.
+	Throughput sdf.Rate
 	// Area is the FPGA resource estimate of the generated platform.
 	Area area.Estimate
 	// Energy is the energy estimate of the mapping at its guaranteed
@@ -294,7 +295,7 @@ func (env evalEnv) evaluateTraced(scope *obs.Scope, tiles int, ic arch.Interconn
 	pt := env.evaluate(tiles, ic, ca)
 	span.SetAttrs(
 		obs.String("candidate", pt.Label()),
-		obs.Float("throughput", pt.Throughput),
+		obs.Float("throughput", pt.Throughput.Float()),
 	)
 	if pt.Err != nil {
 		span.SetAttrs(obs.String("error", pt.Err.Error()))
@@ -362,41 +363,52 @@ func (env evalEnv) evaluate(tiles int, ic arch.InterconnectKind, ca bool) Point 
 // ParetoFront returns the feasible points that are Pareto-optimal over
 // three objectives — maximize throughput, minimize slices, minimize
 // energy per iteration — sorted by ascending area (throughput, then
-// energy, breaking ties).
+// energy, breaking ties). A point is dropped exactly when another
+// dominates it, so equal points are all kept. Throughputs compare
+// exactly.
 func ParetoFront(points []Point) []Point {
 	feasible := make([]Point, 0, len(points))
 	for _, p := range points {
-		if p.Err == nil && p.Throughput > 0 {
+		if p.Err == nil && !p.Throughput.IsZero() {
 			feasible = append(feasible, p)
 		}
 	}
 	sort.SliceStable(feasible, func(i, j int) bool {
-		if feasible[i].Area.Slices != feasible[j].Area.Slices {
-			return feasible[i].Area.Slices < feasible[j].Area.Slices
+		a, b := feasible[i], feasible[j]
+		if a.Area.Slices != b.Area.Slices {
+			return a.Area.Slices < b.Area.Slices
 		}
-		if feasible[i].Throughput != feasible[j].Throughput {
-			return feasible[i].Throughput > feasible[j].Throughput
+		if c := a.Throughput.Cmp(b.Throughput); c != 0 {
+			return c > 0
 		}
-		return feasible[i].Energy.TotalPJ < feasible[j].Energy.TotalPJ
+		return a.Energy.TotalPJ < b.Energy.TotalPJ
 	})
-	vecs := make([][]float64, len(feasible))
-	for i, p := range feasible {
-		vecs[i] = []float64{p.Throughput, -float64(p.Area.Slices), -p.Energy.TotalPJ}
-	}
 	var front []Point
-	for _, i := range pareto.Front(vecs) {
-		front = append(front, feasible[i])
+	for _, p := range feasible {
+		if !slices.ContainsFunc(feasible, func(o Point) bool { return dominates(o, p) }) {
+			front = append(front, p)
+		}
 	}
 	return front
 }
 
-// Best returns the cheapest feasible point meeting the throughput target,
-// or an error if none does.
+// dominates reports whether a is at least as good as b in every
+// objective of ParetoFront and strictly better in at least one.
+func dominates(a, b Point) bool {
+	thr := a.Throughput.Cmp(b.Throughput)
+	if thr < 0 || a.Area.Slices > b.Area.Slices || a.Energy.TotalPJ > b.Energy.TotalPJ {
+		return false
+	}
+	return thr > 0 || a.Area.Slices < b.Area.Slices || a.Energy.TotalPJ < b.Energy.TotalPJ
+}
+
+// Best returns the cheapest feasible point meeting the throughput target
+// (compared exactly), or an error if none does.
 func Best(points []Point, target float64) (Point, error) {
 	var best *Point
 	for i := range points {
 		p := &points[i]
-		if p.Err != nil || p.Throughput < target {
+		if p.Err != nil || !p.Throughput.Meets(target) {
 			continue
 		}
 		if best == nil || p.Area.Slices < best.Area.Slices {

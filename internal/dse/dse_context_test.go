@@ -43,7 +43,7 @@ func TestSweepContextPartialPoints(t *testing.T) {
 	if len(pts) != 1 {
 		t.Fatalf("got %d partial points, want 1", len(pts))
 	}
-	if pts[0].Err != nil || pts[0].Throughput <= 0 {
+	if pts[0].Err != nil || pts[0].Throughput.IsZero() {
 		t.Fatalf("partial point unusable: %+v", pts[0])
 	}
 }

@@ -42,7 +42,7 @@ func TestSweepBasic(t *testing.T) {
 			t.Errorf("%s: %v", p.Label(), p.Err)
 			continue
 		}
-		if p.Throughput <= 0 || p.Area.Slices <= 0 {
+		if p.Throughput.IsZero() || p.Area.Slices <= 0 {
 			t.Errorf("%s: throughput %v area %v", p.Label(), p.Throughput, p.Area)
 		}
 	}
@@ -64,7 +64,7 @@ func TestSweepMoreTilesMoreAreaMoreThroughput(t *testing.T) {
 		}
 	}
 	// Three tiles (fully pipelined) beats one tile (sequential).
-	if pts[2].Throughput <= pts[0].Throughput {
+	if pts[2].Throughput.Cmp(pts[0].Throughput) <= 0 {
 		t.Errorf("3 tiles %v should beat 1 tile %v", pts[2].Throughput, pts[0].Throughput)
 	}
 }
@@ -86,7 +86,7 @@ func TestSweepWithCA(t *testing.T) {
 			pe = p
 		}
 	}
-	if ca.Throughput < pe.Throughput {
+	if ca.Throughput.Cmp(pe.Throughput) < 0 {
 		t.Errorf("CA %v should not be below PE %v", ca.Throughput, pe.Throughput)
 	}
 	if ca.Area.Slices <= pe.Area.Slices {
@@ -115,8 +115,8 @@ func TestParetoFront(t *testing.T) {
 	// Three-objective mutual non-domination: no front member may be at
 	// least as good everywhere and strictly better somewhere.
 	dominates := func(a, b Point) bool {
-		geq := a.Throughput >= b.Throughput && a.Area.Slices <= b.Area.Slices && a.Energy.TotalPJ <= b.Energy.TotalPJ
-		gt := a.Throughput > b.Throughput || a.Area.Slices < b.Area.Slices || a.Energy.TotalPJ < b.Energy.TotalPJ
+		geq := a.Throughput.Cmp(b.Throughput) >= 0 && a.Area.Slices <= b.Area.Slices && a.Energy.TotalPJ <= b.Energy.TotalPJ
+		gt := a.Throughput.Cmp(b.Throughput) > 0 || a.Area.Slices < b.Area.Slices || a.Energy.TotalPJ < b.Energy.TotalPJ
 		return geq && gt
 	}
 	for i := range front {
@@ -128,7 +128,7 @@ func TestParetoFront(t *testing.T) {
 	}
 	// Every dropped feasible point must be dominated by a front member.
 	for _, p := range pts {
-		if p.Err != nil || p.Throughput <= 0 {
+		if p.Err != nil || p.Throughput.IsZero() {
 			continue
 		}
 		onFront := false
@@ -153,20 +153,22 @@ func TestParetoFront(t *testing.T) {
 	}
 }
 
+// mkPoint hand-builds a feasible point with throughput firings/(q·period).
+func mkPoint(tiles int, firings, q, period int64, pj float64, slices int) Point {
+	p := Point{Tiles: tiles, Interconnect: arch.FSL, Throughput: sdf.Rate{Firings: firings, Q: q, Period: period}}
+	p.Area.Slices = slices
+	p.Energy.TotalPJ = pj
+	return p
+}
+
 // TestParetoFrontEnergyDimension pins that the energy objective is live:
 // a point that loses on throughput and ties on area but wins on energy
 // stays on the front.
 func TestParetoFrontEnergyDimension(t *testing.T) {
-	mk := func(tiles int, thr, pj float64, slices int) Point {
-		p := Point{Tiles: tiles, Interconnect: arch.FSL, Throughput: thr}
-		p.Area.Slices = slices
-		p.Energy.TotalPJ = pj
-		return p
-	}
 	pts := []Point{
-		mk(1, 2.0, 100, 500),
-		mk(2, 1.0, 50, 500), // slower, same area, but cheapest energy: on the front
-		mk(3, 0.5, 200, 500),
+		mkPoint(1, 2, 1, 1, 100, 500),
+		mkPoint(2, 1, 1, 1, 50, 500), // slower, same area, but cheapest energy: on the front
+		mkPoint(3, 1, 1, 2, 200, 500),
 	}
 	front := ParetoFront(pts)
 	if len(front) != 2 {
@@ -221,8 +223,8 @@ func TestSweepSolverBeatsGreedy(t *testing.T) {
 		if solved[i].Err != nil || greedy[i].Err != nil {
 			continue
 		}
-		if solved[i].Throughput < greedy[i].Throughput {
-			t.Errorf("%s: solver %.9g below greedy %.9g",
+		if solved[i].Throughput.Cmp(greedy[i].Throughput) < 0 {
+			t.Errorf("%s: solver %+v below greedy %+v",
 				solved[i].Label(), solved[i].Throughput, greedy[i].Throughput)
 		}
 		if solved[i].Solver == nil || solved[i].Solver.Verifications == 0 {
@@ -250,7 +252,7 @@ func TestSweepSolverDeterministicParallel(t *testing.T) {
 				out += ":err;"
 				continue
 			}
-			out += fmt.Sprintf(":%.12g:%d:%.12g:%d:%d;",
+			out += fmt.Sprintf(":%+v:%d:%.12g:%d:%d;",
 				p.Throughput, p.Area.Slices, p.Energy.TotalPJ,
 				p.Solver.NodesExpanded, p.Solver.NodesPruned)
 		}
@@ -271,11 +273,12 @@ func TestBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Any feasible target: picks the cheapest meeting it.
-	p, err := Best(pts, pts[0].Throughput)
+	target := pts[0].Throughput.Float()
+	p, err := Best(pts, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Throughput < pts[0].Throughput {
+	if !p.Throughput.Meets(target) {
 		t.Error("Best returned a point below target")
 	}
 	if _, err := Best(pts, 1.0); err == nil {
@@ -309,6 +312,6 @@ func TestSweepMJPEG(t *testing.T) {
 	}
 	t.Logf("MJPEG Pareto front:")
 	for _, p := range front {
-		t.Logf("  %-8s %6d slices  %.3f MCU/Mcycle", p.Label(), p.Area.Slices, p.Throughput*1e6)
+		t.Logf("  %-8s %6d slices  %.3f MCU/Mcycle", p.Label(), p.Area.Slices, p.Throughput.Float()*1e6)
 	}
 }

@@ -103,10 +103,10 @@ type Report struct {
 // report is the guaranteed-throughput energy point the DSE trades
 // against area and throughput.
 func (mod Model) OfMapping(m *mapping.Mapping) (Report, error) {
-	if m.Analysis.Throughput <= 0 {
+	if m.Analysis.Throughput.IsZero() {
 		return Report{}, fmt.Errorf("energy: mapping has no verified throughput (deadlocked or unanalyzed)")
 	}
-	return mod.fold(m, 1/m.Analysis.Throughput)
+	return mod.fold(m, 1/m.Analysis.Throughput.Float())
 }
 
 // OfExecution folds the model over a simulator execution: cycles is the

@@ -58,8 +58,8 @@ func TestOfMappingComponents(t *testing.T) {
 	if got := r.DynamicPJ + r.CommPJ + r.StaticPJ; math.Abs(got-r.TotalPJ) > 1e-9 {
 		t.Fatalf("TotalPJ %v != sum of components %v", r.TotalPJ, got)
 	}
-	if r.PeriodCycles <= 0 || math.Abs(r.PeriodCycles-1/m.Analysis.Throughput) > 1e-9 {
-		t.Fatalf("period %v, want 1/throughput %v", r.PeriodCycles, 1/m.Analysis.Throughput)
+	if r.PeriodCycles <= 0 || math.Abs(r.PeriodCycles-1/m.Analysis.Throughput.Float()) > 1e-9 {
+		t.Fatalf("period %v, want 1/throughput %v", r.PeriodCycles, 1/m.Analysis.Throughput.Float())
 	}
 	if r.AvgWatts <= 0 {
 		t.Fatalf("AvgWatts = %v", r.AvgWatts)

@@ -71,7 +71,7 @@ func Fig6(cfg Config, ic arch.InterconnectKind) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v/%v: %w", ic, kind, err)
 		}
-		if res.Measured < res.WorstCase*(1-1e-9) {
+		if res.Sim.Throughput.Cmp(res.Mapping.Analysis.Throughput) < 0 {
 			return nil, fmt.Errorf("experiments: %v/%v: guarantee violated: measured %v < bound %v",
 				ic, kind, res.Measured, res.WorstCase)
 		}
@@ -132,7 +132,7 @@ func Fig6MeasurementBased(cfg Config, ic arch.InterconnectKind) ([]Fig6Row, erro
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v/%v: %w", ic, kind, err)
 		}
-		if res.Measured < res.WorstCase*(1-1e-9) {
+		if res.Sim.Throughput.Cmp(res.Mapping.Analysis.Throughput) < 0 {
 			return nil, fmt.Errorf("experiments: %v/%v: measurement-based bound violated: measured %v < bound %v",
 				ic, kind, res.Measured, res.WorstCase)
 		}
@@ -277,7 +277,7 @@ func CAAblation(cfg Config) (CAResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		return m.Analysis.Throughput, r.Throughput, nil
+		return m.Analysis.Throughput.Float(), r.Throughput.Float(), nil
 	}
 	pe, mpe, err := run(false)
 	if err != nil {
@@ -402,13 +402,13 @@ func BufferAblation(cfg Config) ([]AblationPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.Throughput < m.Analysis.Throughput*(1-1e-9) {
+		if r.Throughput.Cmp(m.Analysis.Throughput) < 0 {
 			return nil, fmt.Errorf("experiments: buffer ablation violated the bound at %d iterations", iters)
 		}
 		out = append(out, AblationPoint{
 			Value:      iters,
-			WorstCase:  m.Analysis.Throughput,
-			Measured:   r.Throughput,
+			WorstCase:  m.Analysis.Throughput.Float(),
+			Measured:   r.Throughput.Float(),
 			MemoryByte: m.Buffers.TotalBytes(app.Graph),
 		})
 	}
@@ -445,10 +445,10 @@ func FIFOAblation(cfg Config) ([]AblationPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.Throughput < m.Analysis.Throughput*(1-1e-9) {
+		if r.Throughput.Cmp(m.Analysis.Throughput) < 0 {
 			return nil, fmt.Errorf("experiments: FIFO ablation violated the bound at depth %d", depth)
 		}
-		out = append(out, AblationPoint{Value: depth, WorstCase: m.Analysis.Throughput, Measured: r.Throughput})
+		out = append(out, AblationPoint{Value: depth, WorstCase: m.Analysis.Throughput.Float(), Measured: r.Throughput.Float()})
 	}
 	return out, nil
 }
@@ -509,9 +509,9 @@ func SolverDSE(cfg Config) ([]SolverDSERow, error) {
 		if p.Err != nil || greedy[i].Err != nil {
 			continue
 		}
-		if p.Throughput < greedy[i].Throughput {
+		if p.Throughput.Cmp(greedy[i].Throughput) < 0 {
 			return nil, fmt.Errorf("experiments: solver bound %.6g below greedy %.6g at %s",
-				p.Throughput, greedy[i].Throughput, p.Label())
+				p.Throughput.Float(), greedy[i].Throughput.Float(), p.Label())
 		}
 		// Full tree: one node per partial assignment of 0..nActors-1 actors.
 		exhaustive := int64(0)
@@ -526,8 +526,8 @@ func SolverDSE(cfg Config) ([]SolverDSERow, error) {
 		}
 		rows = append(rows, SolverDSERow{
 			Label:      p.Label(),
-			Greedy:     greedy[i].Throughput,
-			Solver:     p.Throughput,
+			Greedy:     greedy[i].Throughput.Float(),
+			Solver:     p.Throughput.Float(),
 			EnergyPJ:   p.Energy.TotalPJ,
 			Slices:     p.Area.Slices,
 			Nodes:      p.Solver.NodesExpanded,

@@ -41,15 +41,15 @@ func TestFlowDegradedRecovery(t *testing.T) {
 			t.Errorf("actor %d still bound to the failed tile", a)
 		}
 	}
-	if deg.WorstCase <= 0 {
+	if deg.WorstCase.IsZero() {
 		t.Error("no degraded bound")
 	}
 	// The conservativeness claim holds in degraded mode too.
-	if deg.Measured < deg.WorstCase*(1-1e-9) {
-		t.Errorf("degraded measured %v below degraded bound %v", deg.Measured, deg.WorstCase)
+	if deg.Measured.Cmp(deg.WorstCase) < 0 {
+		t.Errorf("degraded measured %+v below degraded bound %+v", deg.Measured, deg.WorstCase)
 	}
 	// With no explicit target, the constraint is the original bound.
-	wantMet := deg.WorstCase >= res.WorstCase*(1-1e-9)
+	wantMet := deg.WorstCase.Cmp(res.Mapping.Analysis.Throughput) >= 0
 	if deg.ConstraintMet != wantMet {
 		t.Errorf("ConstraintMet = %v, want %v (degraded %v vs original %v)",
 			deg.ConstraintMet, wantMet, deg.WorstCase, res.WorstCase)
@@ -75,7 +75,7 @@ func TestFlowDegradedRecovery(t *testing.T) {
 		t.Errorf("degraded steps missing from %v", res.Steps)
 	}
 	t.Logf("degraded: bound %.3f measured %.3f (original bound %.3f), migrated %v (%d bytes)",
-		MCUsPerMegacycle(deg.WorstCase), MCUsPerMegacycle(deg.Measured),
+		MCUsPerMegacycle(deg.WorstCase.Float()), MCUsPerMegacycle(deg.Measured.Float()),
 		MCUsPerMegacycle(res.WorstCase), deg.MigratedActors, deg.MigrationBytes)
 }
 

@@ -31,6 +31,7 @@ import (
 	"mamps/internal/mapping"
 	"mamps/internal/obs"
 	"mamps/internal/platgen"
+	"mamps/internal/sdf"
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 	"mamps/internal/wcet"
@@ -105,13 +106,14 @@ type Result struct {
 	Mapping  *mapping.Mapping
 	Project  *platgen.Project
 
-	// WorstCase is the guaranteed throughput bound (iterations/cycle).
+	// WorstCase is the guaranteed throughput bound, Measured the
+	// platform's achieved throughput (0 if not executed) and Expected the
+	// analysis with maximum measured execution times (0 if not executed),
+	// as floats in iterations/cycle for reports and run records. Compare
+	// the exact Mapping.Analysis.Throughput and Sim.Throughput instead.
 	WorstCase float64
-	// Measured is the platform's achieved throughput (0 if not executed).
-	Measured float64
-	// Expected is the analysis with maximum measured execution times
-	// (0 if not executed).
-	Expected float64
+	Measured  float64
+	Expected  float64
 
 	Profile *wcet.Profile
 	Sim     *sim.Result
@@ -135,11 +137,11 @@ type Degraded struct {
 	// WorstCase is the degraded mapping's guaranteed throughput bound and
 	// Measured its achieved throughput under the remaining fault scenario
 	// (the original scenario minus the fail-stop).
-	WorstCase float64
-	Measured  float64
+	WorstCase sdf.Rate
+	Measured  sdf.Rate
 	// ConstraintMet reports whether WorstCase still meets the throughput
 	// constraint (Config.TargetThroughput, defaulting to the original
-	// mapping's bound).
+	// mapping's bound), compared exactly.
 	ConstraintMet bool
 	// MigratedActors names the actors bound to a different tile than in
 	// the original mapping; MigrationBytes totals the instruction and data
@@ -235,7 +237,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	res.WorstCase = res.Mapping.Analysis.Throughput
+	res.WorstCase = res.Mapping.Analysis.Throughput.Float()
 	stageSpan.SetAttrs(obs.Float("worstCaseThroughput", res.WorstCase))
 
 	// MAMPS platform generation.
@@ -303,7 +305,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return nil, execErr
 	}
-	res.Measured = res.Sim.Throughput
+	res.Measured = res.Sim.Throughput.Float()
 	res.Profile = res.Sim.Profile
 	stageSpan.SetAttrs(
 		obs.Float("measuredThroughput", res.Measured),
@@ -322,7 +324,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("flow: expected-case analysis: %w", err)
 		}
-		res.Expected = m.Analysis.Throughput
+		res.Expected = m.Analysis.Throughput.Float()
 		return nil
 	}); err != nil {
 		return nil, err
@@ -370,11 +372,11 @@ func runDegraded(ctx context.Context, cfg Config, res *Result, engine *faults.En
 		return err
 	}
 	deg.WorstCase = deg.Mapping.Analysis.Throughput
-	target := cfg.TargetThroughput
-	if target == 0 {
-		target = res.WorstCase
+	if cfg.TargetThroughput == 0 {
+		deg.ConstraintMet = deg.WorstCase.Cmp(res.Mapping.Analysis.Throughput) >= 0
+	} else {
+		deg.ConstraintMet = deg.WorstCase.Meets(cfg.TargetThroughput)
 	}
-	deg.ConstraintMet = deg.WorstCase >= target*(1-1e-9)
 
 	// Migration cost: every actor now on a different tile must move its
 	// implementation memory there.

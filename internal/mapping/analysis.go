@@ -77,7 +77,7 @@ func (m *Mapping) analyze(opt Options) error {
 	if err != nil {
 		return err
 	}
-	m.Analysis = Result{Throughput: res.Throughput, Deadlocked: res.Deadlocked, States: res.StatesExplored}
+	m.Analysis = Result{Throughput: res.Throughput, States: res.StatesExplored}
 	if res.Deadlocked {
 		return fmt.Errorf("mapping: mapped application deadlocks under the chosen schedules and buffers:\n%s", res.DeadlockReport)
 	}

@@ -84,7 +84,7 @@ func TestPerTileCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Analysis.Throughput <= mNone.Analysis.Throughput {
+	if m.Analysis.Throughput.Cmp(mNone.Analysis.Throughput) <= 0 {
 		t.Errorf("per-tile CA %v should beat all-PE %v", m.Analysis.Throughput, mNone.Analysis.Throughput)
 	}
 }
@@ -129,7 +129,7 @@ func TestIPTileHostsHardwareActor(t *testing.T) {
 			t.Error("bc: IP source should stream natively")
 		}
 	}
-	if m.Analysis.Throughput <= 0 {
+	if m.Analysis.Throughput.IsZero() {
 		t.Fatal("no throughput bound")
 	}
 }

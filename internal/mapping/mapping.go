@@ -78,10 +78,10 @@ func (o Options) analyzer() func(*sdf.Graph, statespace.Options) (statespace.Res
 // Result is the outcome of the throughput verification.
 type Result struct {
 	// Throughput is the guaranteed worst-case throughput of the mapped
-	// application in graph iterations per clock cycle.
-	Throughput float64
-	// Deadlocked reports an invalid schedule/buffer combination.
-	Deadlocked bool
+	// application, exact (graph iterations per clock cycle as a
+	// ratio); compare it with Cmp or Meets, never through Float. Zero
+	// when the schedules and buffers deadlock, in which case Map fails.
+	Throughput sdf.Rate
 	// States is the number of states the analysis explored.
 	States int
 }

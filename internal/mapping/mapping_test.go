@@ -52,7 +52,7 @@ func TestMapPipelineTwoTiles(t *testing.T) {
 			t.Fatalf("TileOf = %v", m.TileOf)
 		}
 	}
-	if m.Analysis.Throughput <= 0 || m.Analysis.Deadlocked {
+	if m.Analysis.Throughput.IsZero() {
 		t.Fatalf("analysis = %+v", m.Analysis)
 	}
 	// Load balancing: 3 equal actors over 2 tiles must use both tiles.
@@ -76,9 +76,8 @@ func TestMapSingleTileSerializes(t *testing.T) {
 	if len(m.CommParams) != 0 {
 		t.Fatalf("single tile must not use the interconnect: %v", m.CommParams)
 	}
-	want := 1.0 / 60
-	if diff := m.Analysis.Throughput - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("throughput = %v, want %v", m.Analysis.Throughput, want)
+	if m.Analysis.Throughput.Cmp(sdf.Rate{Firings: 1, Q: 1, Period: 60}) != 0 {
+		t.Fatalf("throughput = %+v, want 1/60", m.Analysis.Throughput)
 	}
 }
 
@@ -148,7 +147,7 @@ func TestMapCAImprovesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ca.Analysis.Throughput <= pe.Analysis.Throughput {
+	if ca.Analysis.Throughput.Cmp(pe.Analysis.Throughput) <= 0 {
 		t.Fatalf("CA %v should beat PE serialization %v", ca.Analysis.Throughput, pe.Analysis.Throughput)
 	}
 }
@@ -167,7 +166,7 @@ func TestMapExecTimeOverridesRaiseThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if expected.Analysis.Throughput <= worst.Analysis.Throughput {
+	if expected.Analysis.Throughput.Cmp(worst.Analysis.Throughput) <= 0 {
 		t.Fatalf("expected-case %v should exceed worst-case %v",
 			expected.Analysis.Throughput, worst.Analysis.Throughput)
 	}
@@ -195,7 +194,7 @@ func TestMapNoCPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mn.Analysis.Throughput > mf.Analysis.Throughput+1e-15 {
+	if mn.Analysis.Throughput.Cmp(mf.Analysis.Throughput) > 0 {
 		t.Fatalf("NoC throughput %v exceeds FSL %v", mn.Analysis.Throughput, mf.Analysis.Throughput)
 	}
 }
@@ -261,11 +260,11 @@ func TestMapMJPEGFiveTilesFSL(t *testing.T) {
 	if m.TileOf[vld.ID] != 0 {
 		t.Errorf("VLD on tile %d, want master", m.TileOf[vld.ID])
 	}
-	if m.Analysis.Throughput <= 0 {
+	if m.Analysis.Throughput.IsZero() {
 		t.Fatalf("throughput = %v", m.Analysis.Throughput)
 	}
 	t.Logf("MJPEG worst-case throughput: %.3e iterations/cycle (%d states)",
-		m.Analysis.Throughput, m.Analysis.States)
+		m.Analysis.Throughput.Float(), m.Analysis.States)
 }
 
 func TestMapDeterministic(t *testing.T) {

@@ -206,7 +206,7 @@ func TestGraphThroughputAnalyzable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Deadlocked || r.Throughput <= 0 {
+	if r.Deadlocked || r.Throughput.IsZero() {
 		t.Fatalf("result = %+v", r)
 	}
 }

@@ -170,8 +170,8 @@ func NewFlowResponseJSON(res *flow.Result) FlowResponseJSON {
 			FailedTile:     deg.FailedTile,
 			FailCycle:      deg.FailCycle,
 			SurvivingTiles: deg.SurvivingTiles,
-			WorstCase:      NewThroughputJSON(deg.WorstCase),
-			Measured:       NewThroughputJSON(deg.Measured),
+			WorstCase:      NewThroughputJSON(deg.WorstCase.Float()),
+			Measured:       NewThroughputJSON(deg.Measured.Float()),
 			ConstraintMet:  deg.ConstraintMet,
 			MigratedActors: deg.MigratedActors,
 			MigrationBytes: deg.MigrationBytes,
@@ -273,7 +273,7 @@ func NewDSEResponseJSON(app string, points []dse.Point) DSEResponseJSON {
 			Tiles:        p.Tiles,
 			Interconnect: p.Interconnect.String(),
 			CA:           p.UseCA,
-			Throughput:   NewThroughputJSON(p.Throughput),
+			Throughput:   NewThroughputJSON(p.Throughput.Float()),
 			Slices:       p.Area.Slices,
 			BRAMs:        p.Area.BRAMs,
 			EnergyPJ:     p.Energy.TotalPJ,

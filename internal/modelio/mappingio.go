@@ -53,7 +53,7 @@ func WriteMapping(m *mapping.Mapping) ([]byte, error) {
 	doc := xmlMapping{
 		Application: m.App.Name,
 		Platform:    m.Platform.Name,
-		Throughput:  m.Analysis.Throughput,
+		Throughput:  m.Analysis.Throughput.Float(),
 	}
 	for _, a := range g.Actors() {
 		doc.Bindings = append(doc.Bindings, xmlBinding{

@@ -185,7 +185,7 @@ func TestMappingRoundTrip(t *testing.T) {
 	if doc.Application != "mjpeg" || doc.Platform != "plat" {
 		t.Errorf("header: %+v", doc)
 	}
-	if doc.Throughput != m.Analysis.Throughput {
+	if doc.Throughput != m.Analysis.Throughput.Float() {
 		t.Error("throughput lost")
 	}
 	for _, a := range app.Graph.Actors() {

@@ -567,7 +567,7 @@ func (r *Registry) Dir() string { return r.dir }
 // attachment are preserved (the same metric objects are registered).
 func (r *Registry) AttachMetrics(reg *obs.Registry) {
 	reg.RegisterGauge("mamps_runlog_records", "Records in the run registry index.", r.records)
-	reg.RegisterCounter("mamps_regressions_total", "Runs that drifted beyond tolerance from their baseline.", r.regressions)
+	reg.RegisterCounter("mamps_regressions_total", "Runs whose deterministic quantities differ from their baseline.", r.regressions)
 	reg.RegisterCounter("mamps_runlog_gc_removed_total", "Run records removed by retention GC.", r.gcRemoved)
 	reg.RegisterCounter("mamps_ledger_appends_total", "Records appended to the Merkle-chained ledger.", r.ledgerAppends)
 	reg.RegisterGauge("mamps_ledger_legacy_records", "Recovered pre-ledger records awaiting chain adoption.", r.legacyGauge)

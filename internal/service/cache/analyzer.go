@@ -80,7 +80,7 @@ func Analyzer(c *Cache, ctx context.Context, tel *obs.Set) func(*sdf.Graph, stat
 		if scope != nil {
 			attrs := []obs.Attr{
 				obs.Int("states", int64(r.StatesExplored)),
-				obs.Float("throughput", r.Throughput),
+				obs.Float("throughput", r.Throughput.Float()),
 				obs.Bool("deadlocked", r.Deadlocked),
 			}
 			if memoized {

@@ -204,7 +204,7 @@ func TestAnalyzerMemoizesAndCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Throughput != r2.Throughput || r1.Throughput <= 0 {
+	if r1.Throughput != r2.Throughput || r1.Throughput.IsZero() {
 		t.Fatalf("throughputs differ or zero: %v vs %v", r1.Throughput, r2.Throughput)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {

@@ -314,7 +314,7 @@ func (s *Server) analyzeJob(ctx context.Context, req modelio.AnalyzeRequestJSON)
 	if err != nil {
 		return nil, err
 	}
-	resp.Throughput = modelio.NewThroughputJSON(thr)
+	resp.Throughput = modelio.NewThroughputJSON(thr.Float())
 
 	if req.TargetThroughput > 0 {
 		dist, got, err := buffer.Minimize(g, req.TargetThroughput, buffer.Options{Analyze: analyze})
@@ -322,7 +322,7 @@ func (s *Server) analyzeJob(ctx context.Context, req modelio.AnalyzeRequestJSON)
 			return nil, err
 		}
 		resp.TargetThroughput = req.TargetThroughput
-		resp.Achieved = modelio.NewThroughputJSON(got)
+		resp.Achieved = modelio.NewThroughputJSON(got.Float())
 		for _, c := range g.Channels() {
 			if c.IsSelfLoop() {
 				continue

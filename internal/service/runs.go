@@ -35,6 +35,7 @@ import (
 	"mamps/internal/modelio"
 	"mamps/internal/obs"
 	"mamps/internal/runlog"
+	"mamps/internal/sdf"
 	"mamps/internal/service/cache"
 	"mamps/internal/sim"
 )
@@ -169,7 +170,7 @@ func (s *Server) recordFlowRun(ctx context.Context, req modelio.FlowRequestJSON,
 			rec.Outcome = "degraded"
 			rec.Degraded = &runlog.DegradedSummary{
 				FailedTile: d.FailedTile, FailCycle: d.FailCycle,
-				Bound: d.WorstCase, Measured: d.Measured,
+				Bound: d.WorstCase.Float(), Measured: d.Measured.Float(),
 				ConstraintMet:  d.ConstraintMet,
 				MigratedActors: len(d.MigratedActors),
 				MigrationBytes: d.MigrationBytes,
@@ -189,7 +190,15 @@ func (s *Server) recordFlowRun(ctx context.Context, req modelio.FlowRequestJSON,
 	if a := rt.traceArtifact(); a != nil {
 		artifacts = append(artifacts, *a)
 	}
-	s.appendRun(ctx, rec, artifacts)
+	if _, ok := s.appendRun(ctx, rec, artifacts); ok && req.TargetThroughput > 0 {
+		// A recorded flow carrying a throughput constraint also feeds the
+		// throughput_met objective, with its exact bound.
+		var bound sdf.Rate
+		if runErr == nil {
+			bound = res.Mapping.Analysis.Throughput
+		}
+		s.sloThroughput.Observe(bound.Meets(req.TargetThroughput))
+	}
 }
 
 // recordDSERun appends one computed DSE sweep to the run registry.
@@ -220,13 +229,15 @@ func (s *Server) recordDSERun(ctx context.Context, req modelio.DSERequestJSON, a
 		// Bound records the sweep's best guaranteed throughput — the number
 		// the regression gate watches for a DSE run — and EnergyPJ that
 		// point's energy estimate.
+		var best sdf.Rate
 		for _, p := range points {
-			if p.Err == nil && p.Throughput > rec.Bound {
-				rec.Bound = p.Throughput
+			if p.Err == nil && p.Throughput.Cmp(best) > 0 {
+				best = p.Throughput
 				rec.EnergyPJ = p.Energy.TotalPJ
 				rec.AvgWatts = p.Energy.AvgWatts
 			}
 		}
+		rec.Bound = best.Float()
 	}
 	if a := rt.traceArtifact(); a != nil {
 		artifacts = append(artifacts, *a)
@@ -250,12 +261,8 @@ func (s *Server) appendRun(ctx context.Context, rec runlog.Record, artifacts []r
 			"baselineKey", stored.Regression.BaselineKey,
 			"reasons", strings.Join(stored.Regression.Reasons, "; "))
 	}
-	// Every recorded run is a regression-free SLO event; runs carrying a
-	// throughput constraint also feed the throughput_met objective.
+	// Every recorded run is a regression-free SLO event.
 	s.sloRegression.Observe(!regressed)
-	if t := stored.Config.TargetThroughput; t > 0 {
-		s.sloThroughput.Observe(stored.Bound >= t)
-	}
 	return stored, true
 }
 

@@ -67,10 +67,10 @@ func TestConservativenessProperty(t *testing.T) {
 				trial, tiles, kind, useCA, binding, err)
 		}
 		bound := m.Analysis.Throughput
-		if res.Throughput < bound*(1-1e-9) {
-			t.Fatalf("trial %d (%d tiles, %v, ca=%v, binding=%v): measured %v below bound %v (ratio %.4f)",
+		if res.Throughput.Cmp(bound) < 0 {
+			t.Fatalf("trial %d (%d tiles, %v, ca=%v, binding=%v): measured %+v below bound %+v (ratio %.4f)",
 				trial, tiles, kind, useCA, binding,
-				res.Throughput, bound, res.Throughput/bound)
+				res.Throughput, bound, res.Throughput.Float()/bound.Float())
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestFaultSweepConservative(t *testing.T) {
 				t.Fatal(err)
 			}
 			bound := m.Analysis.Throughput
-			if bound <= 0 {
+			if bound.IsZero() {
 				t.Fatalf("analysis bound = %v, want positive", bound)
 			}
 			for i, spec := range scenarios {
@@ -91,9 +91,9 @@ func TestFaultSweepConservative(t *testing.T) {
 				if err != nil {
 					t.Fatalf("scenario %d %+v: %v", i, *spec, err)
 				}
-				if r.Throughput < bound*(1-1e-9) {
+				if r.Throughput.Cmp(bound) < 0 {
 					t.Errorf("scenario %d %+v: measured %v below bound %v (ratio %.4f)",
-						i, *spec, r.Throughput, bound, r.Throughput/bound)
+						i, *spec, r.Throughput, bound, r.Throughput.Float()/bound.Float())
 				}
 			}
 		})

@@ -119,8 +119,8 @@ func TestGoldenSimMJPEG(t *testing.T) {
 			if r.Cycles != want.cycles {
 				t.Errorf("Cycles = %d, want %d", r.Cycles, want.cycles)
 			}
-			if r.Throughput != want.throughput {
-				t.Errorf("Throughput = %v, want %v", r.Throughput, want.throughput)
+			if r.Throughput.Float() != want.throughput {
+				t.Errorf("Throughput = %v, want %v", r.Throughput.Float(), want.throughput)
 			}
 			if r.Latency != want.latency {
 				t.Errorf("Latency = %d, want %d", r.Latency, want.latency)

@@ -93,9 +93,11 @@ func (e *DeadlockError) Error() string {
 
 // Result reports the measured execution.
 type Result struct {
-	// Throughput is the measured long-term average in reference-actor
-	// completions (graph iterations) per cycle.
-	Throughput float64
+	// Throughput is the measured long-term average, exact: reference-actor
+	// completions over the cycles they took (Q is 1). Completions count
+	// graph iterations only when the reference actor's repetition-vector
+	// entry is 1.
+	Throughput sdf.Rate
 	// Latency is the time of the first reference-actor completion: the
 	// end-to-end latency of the first iteration through the pipeline,
 	// including all initialization effects.
@@ -608,9 +610,9 @@ func (s *Simulation) runLoop(t *simTally) (*Result, error) {
 	}
 	t0, t1 := s.completions[skip], s.completions[target-1]
 	if t1 > t0 {
-		res.Throughput = float64(target-1-skip) / float64(t1-t0)
+		res.Throughput = sdf.Rate{Firings: int64(target - 1 - skip), Q: 1, Period: t1 - t0}
 	} else if now > 0 {
-		res.Throughput = float64(target) / float64(now)
+		res.Throughput = sdf.Rate{Firings: int64(target), Q: 1, Period: now}
 	}
 	res.Latency = s.completions[0]
 	for _, p := range s.procs {

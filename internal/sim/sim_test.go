@@ -82,7 +82,7 @@ func TestSimPipelineFunctional(t *testing.T) {
 			t.Fatalf("token %d = %d, want %d (FIFO order through the platform)", i, v, 2*i)
 		}
 	}
-	if res.Throughput <= 0 {
+	if res.Throughput.IsZero() {
 		t.Fatalf("throughput = %v", res.Throughput)
 	}
 	if len(res.Completions) != 40 {
@@ -112,11 +112,11 @@ func TestSimMeetsAnalysisBound(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		bound := m.Analysis.Throughput
-		if res.Throughput < bound*(1-1e-9) {
-			t.Errorf("%s: measured %v below analysis bound %v", tc.name, res.Throughput, bound)
+		if res.Throughput.Cmp(bound) < 0 {
+			t.Errorf("%s: measured %+v below analysis bound %+v", tc.name, res.Throughput, bound)
 		}
 		t.Logf("%s: bound %.3e measured %.3e (ratio %.3f)",
-			tc.name, bound, res.Throughput, res.Throughput/bound)
+			tc.name, bound.Float(), res.Throughput.Float(), res.Throughput.Float()/bound.Float())
 	}
 }
 
@@ -129,8 +129,8 @@ func TestSimSingleTile(t *testing.T) {
 	}
 	// One tile, no comm: steady state exactly 60 cycles per iteration.
 	want := 1.0 / 60
-	if res.Throughput < want*0.999 || res.Throughput > want*1.001 {
-		t.Fatalf("throughput = %v, want %v", res.Throughput, want)
+	if thr := res.Throughput.Float(); thr < want*0.999 || thr > want*1.001 {
+		t.Fatalf("throughput = %v, want %v", thr, want)
 	}
 	if len(res.ChannelWords) != 0 {
 		t.Error("single-tile run must not use the interconnect")
@@ -153,11 +153,11 @@ func TestSimCABeatsPESerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rCA.Throughput <= rPE.Throughput {
+	if rCA.Throughput.Cmp(rPE.Throughput) <= 0 {
 		t.Fatalf("CA measured %v should beat PE serialization %v", rCA.Throughput, rPE.Throughput)
 	}
 	// The CA run must still meet its own analysis bound.
-	if rCA.Throughput < mCA.Analysis.Throughput*(1-1e-9) {
+	if rCA.Throughput.Cmp(mCA.Analysis.Throughput) < 0 {
 		t.Fatalf("CA measured %v below bound %v", rCA.Throughput, mCA.Analysis.Throughput)
 	}
 }
@@ -232,10 +232,10 @@ func TestSimMJPEGMatchesReferenceAndBound(t *testing.T) {
 			t.Fatalf("frame %d differs from reference decoder", i)
 		}
 	}
-	if res.Throughput < m.Analysis.Throughput*(1-1e-9) {
+	if res.Throughput.Cmp(m.Analysis.Throughput) < 0 {
 		t.Fatalf("measured %v below worst-case bound %v", res.Throughput, m.Analysis.Throughput)
 	}
-	t.Logf("MJPEG FSL: bound %.4e measured %.4e (MCUs/cycle)", m.Analysis.Throughput, res.Throughput)
+	t.Logf("MJPEG FSL: bound %.4e measured %.4e (MCUs/cycle)", m.Analysis.Throughput.Float(), res.Throughput.Float())
 	// The subHeader channels must be a tiny share of the traffic
 	// (Section 6.3 reports ~1%).
 	var sub, total int64
@@ -278,10 +278,10 @@ func TestSimNoCSlowerThanFSL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Throughput < m.Analysis.Throughput*(1-1e-9) {
+		if res.Throughput.Cmp(m.Analysis.Throughput) < 0 {
 			t.Fatalf("%v: measured %v below bound %v", kind, res.Throughput, m.Analysis.Throughput)
 		}
-		return res.Throughput
+		return res.Throughput.Float()
 	}
 	fslThr := run(arch.FSL)
 	nocThr := run(arch.NoC)

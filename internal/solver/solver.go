@@ -75,9 +75,9 @@ type Candidate struct {
 	// FixedBinding form).
 	TileOf  []int
 	Binding map[string]int
-	// Throughput is the verified worst-case throughput of the binding
-	// (iterations/cycle); Energy its energy report at that throughput.
-	Throughput float64
+	// Throughput is the verified worst-case throughput of the binding;
+	// Energy its energy report at that throughput.
+	Throughput sdf.Rate
 	Energy     energy.Report
 	// Mapping is the full verified mapping.
 	Mapping *mapping.Mapping
@@ -204,7 +204,7 @@ func Solve(ctx context.Context, app *appmodel.App, plat *arch.Platform, opt Opti
 	// Seed the incumbent with the greedy cost-driven binding: a strong
 	// first bound that guarantees the solver never returns worse than
 	// the existing flow, and prunes most of the tree up front.
-	if m, err := mapping.Map(app, plat, opt.MapOptions); err == nil && m.Analysis.Throughput > 0 {
+	if m, err := mapping.Map(app, plat, opt.MapOptions); err == nil && !m.Analysis.Throughput.IsZero() {
 		s.stats.Verifications++
 		s.solStat.Verifications.Add(1)
 		s.admit(m)
@@ -477,10 +477,10 @@ func (s *search) periodLB(nextPos int) int64 {
 }
 
 // prune reports whether the subtree below the current assignment cannot
-// beat the incumbent: the reciprocal of its period lower bound is an
-// upper bound on the throughput of every leaf below it.
+// beat the incumbent: one iteration per period lower bound is an upper
+// bound on the throughput of every leaf below it.
 func (s *search) prune(nextPos int) bool {
-	return s.best != nil && 1/float64(s.periodLB(nextPos)) <= s.best.Throughput
+	return s.best != nil && s.best.Throughput.Cmp(sdf.Rate{Firings: 1, Q: 1, Period: s.periodLB(nextPos)}) >= 0
 }
 
 // verifyLeaf runs the binding-aware analysis on a complete assignment
@@ -494,7 +494,7 @@ func (s *search) verifyLeaf() {
 	s.stats.Verifications++
 	s.solStat.Verifications.Add(1)
 	m, err := mapping.Map(s.app, s.plat, mo)
-	if err != nil || m.Analysis.Deadlocked || m.Analysis.Throughput <= 0 {
+	if err != nil || m.Analysis.Throughput.IsZero() {
 		return // infeasible leaf (memory overheads, NoC capacity, deadlock)
 	}
 	s.admit(m)
@@ -517,7 +517,7 @@ func (s *search) admit(m *mapping.Mapping) {
 	for _, a := range s.app.Graph.Actors() {
 		cand.Binding[a.Name] = m.TileOf[a.ID]
 	}
-	if s.best == nil || cand.Throughput > s.best.Throughput {
+	if s.best == nil || cand.Throughput.Cmp(s.best.Throughput) > 0 {
 		s.best = &cand
 		s.stats.Incumbents++
 		s.solStat.Incumbents.Add(1)

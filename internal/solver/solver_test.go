@@ -10,6 +10,7 @@ import (
 	"mamps/internal/arch"
 	"mamps/internal/energy"
 	"mamps/internal/mapping"
+	"mamps/internal/obs"
 	"mamps/internal/sdf"
 )
 
@@ -65,12 +66,12 @@ func platform(t *testing.T, tiles int, ic arch.InterconnectKind) *arch.Platform 
 // bruteForce enumerates every actor→tile assignment, verifies each one
 // with the same mapping.Map path the solver uses, and returns the best
 // throughput.
-func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) float64 {
+func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) sdf.Rate {
 	t.Helper()
 	actors := app.Graph.Actors()
 	nTiles := len(plat.Tiles)
 
-	var best float64
+	var best sdf.Rate
 	assign := make([]int, len(actors))
 	for {
 		fb := make(map[string]int, len(actors))
@@ -78,7 +79,7 @@ func bruteForce(t *testing.T, app *appmodel.App, plat *arch.Platform) float64 {
 			fb[a.Name] = assign[i]
 		}
 		m, err := mapping.Map(app, plat, mapping.Options{FixedBinding: fb})
-		if err == nil && !m.Analysis.Deadlocked && m.Analysis.Throughput > best {
+		if err == nil && m.Analysis.Throughput.Cmp(best) > 0 {
 			best = m.Analysis.Throughput
 		}
 		// Next assignment in base-nTiles.
@@ -120,7 +121,7 @@ func TestSolverMatchesExhaustive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plat := platform(t, tc.tiles, tc.ic)
 			wantBest := bruteForce(t, tc.app, plat)
-			if wantBest <= 0 {
+			if wantBest.IsZero() {
 				t.Fatal("brute force found no feasible binding; test case is broken")
 			}
 
@@ -131,8 +132,8 @@ func TestSolverMatchesExhaustive(t *testing.T) {
 			if res.Best == nil {
 				t.Fatal("solver found no binding")
 			}
-			if res.Best.Throughput != wantBest {
-				t.Fatalf("solver best throughput %.9g, exhaustive %.9g", res.Best.Throughput, wantBest)
+			if res.Best.Throughput.Cmp(wantBest) != 0 {
+				t.Fatalf("solver best throughput %+v, exhaustive %+v", res.Best.Throughput, wantBest)
 			}
 		})
 	}
@@ -154,7 +155,7 @@ func TestSolverDeterministic(t *testing.T) {
 		}
 		b, err := json.Marshal(struct {
 			Binding    map[string]int
-			Throughput float64
+			Throughput sdf.Rate
 			Energy     energy.Report
 			Stats      Stats
 		}{res.Best.Binding, res.Best.Throughput, res.Best.Energy, res.Stats})
@@ -234,8 +235,33 @@ func TestSolverNeverWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.Throughput < greedy.Analysis.Throughput {
-		t.Fatalf("solver %.9g below greedy %.9g", res.Best.Throughput, greedy.Analysis.Throughput)
+	if res.Best.Throughput.Cmp(greedy.Analysis.Throughput) < 0 {
+		t.Fatalf("solver %+v below greedy %+v", res.Best.Throughput, greedy.Analysis.Throughput)
+	}
+}
+
+// TestAdmitKeepsFirstOfEqualRates: a tie at admit keeps the first
+// binding in search order. 1/(3·1296) and 1/(1·3888) are one rational
+// whose floats differ, the second rounding higher, so a float compare
+// would make the later binding the incumbent.
+func TestAdmitKeepsFirstOfEqualRates(t *testing.T) {
+	app := chainApp(t, "tie", 100, 100)
+	plat := platform(t, 2, arch.FSL)
+	var ms [2]*mapping.Mapping
+	for i := range ms {
+		m, err := mapping.Map(app, plat, mapping.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	ms[0].Analysis.Throughput = sdf.Rate{Firings: 1, Q: 3, Period: 1296}
+	ms[1].Analysis.Throughput = sdf.Rate{Firings: 1, Q: 1, Period: 3888}
+	s := &search{app: app, mod: energy.DefaultModel(), solStat: obs.NewSolverStats(nil)}
+	s.admit(ms[0])
+	s.admit(ms[1])
+	if s.best.Mapping != ms[0] || s.stats.Incumbents != 1 {
+		t.Fatalf("incumbent %+v after %d admissions, want the first binding once", s.best.Throughput, s.stats.Incumbents)
 	}
 }
 

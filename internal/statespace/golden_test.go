@@ -38,7 +38,7 @@ func TestGoldenSmallGraphs(t *testing.T) {
 				g.Connect(b, a, 1, 1, 1)
 				return g, statespace.Options{}
 			},
-			want: statespace.Result{Throughput: 0.2, FiringsPerPeriod: 1, PeriodCycles: 5, StatesExplored: 2, MaxTokens: []int64{1, 1}},
+			want: statespace.Result{Throughput: sdf.Rate{Firings: 1, Q: 1, Period: 5}, StatesExplored: 2, MaxTokens: []int64{1, 1}},
 		},
 		{
 			name: "pipe",
@@ -50,7 +50,7 @@ func TestGoldenSmallGraphs(t *testing.T) {
 				g.Connect(b, a, 1, 1, 2)
 				return g, statespace.Options{}
 			},
-			want: statespace.Result{Throughput: 0.4, FiringsPerPeriod: 2, PeriodCycles: 5, StatesExplored: 2, MaxTokens: []int64{2, 2}},
+			want: statespace.Result{Throughput: sdf.Rate{Firings: 2, Q: 1, Period: 5}, StatesExplored: 2, MaxTokens: []int64{2, 2}},
 		},
 		{
 			name: "mr",
@@ -64,7 +64,7 @@ func TestGoldenSmallGraphs(t *testing.T) {
 				g.Connect(b, a, 1, 2, 2)
 				return g, statespace.Options{}
 			},
-			want: statespace.Result{Throughput: 0.125, FiringsPerPeriod: 1, PeriodCycles: 8, StatesExplored: 3, MaxTokens: []int64{2, 2}},
+			want: statespace.Result{Throughput: sdf.Rate{Firings: 1, Q: 1, Period: 8}, StatesExplored: 3, MaxTokens: []int64{2, 2}},
 		},
 		{
 			name: "sched",
@@ -77,7 +77,7 @@ func TestGoldenSmallGraphs(t *testing.T) {
 				return g, statespace.Options{
 					Schedules: []statespace.Schedule{{Tile: "t0", Entries: []sdf.ActorID{a.ID, b.ID}}}}
 			},
-			want: statespace.Result{Throughput: 0.2, FiringsPerPeriod: 1, PeriodCycles: 5, StatesExplored: 2, MaxTokens: []int64{2, 1}},
+			want: statespace.Result{Throughput: sdf.Rate{Firings: 1, Q: 1, Period: 5}, StatesExplored: 2, MaxTokens: []int64{2, 1}},
 		},
 		{
 			name: "dead",
@@ -176,14 +176,14 @@ func TestGoldenMJPEG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Throughput != want.throughput {
-				t.Errorf("Throughput = %v, want %v", r.Throughput, want.throughput)
+			if r.Throughput.Float() != want.throughput {
+				t.Errorf("Throughput = %v, want %v", r.Throughput.Float(), want.throughput)
 			}
-			if r.FiringsPerPeriod != 1 {
-				t.Errorf("FiringsPerPeriod = %d, want 1", r.FiringsPerPeriod)
+			if r.Throughput.Firings != 1 {
+				t.Errorf("firings per period = %d, want 1", r.Throughput.Firings)
 			}
-			if r.PeriodCycles != want.periodCycles {
-				t.Errorf("PeriodCycles = %d, want %d", r.PeriodCycles, want.periodCycles)
+			if r.Throughput.Period != want.periodCycles {
+				t.Errorf("period = %d, want %d", r.Throughput.Period, want.periodCycles)
 			}
 			if r.TransientCycles != want.transient {
 				t.Errorf("TransientCycles = %d, want %d", r.TransientCycles, want.transient)

@@ -83,14 +83,10 @@ var ErrInterrupted = errors.New("statespace: analysis interrupted")
 
 // Result reports the outcome of an analysis.
 type Result struct {
-	// Throughput in graph iterations per clock cycle. Zero if deadlocked.
-	Throughput float64
-	// FiringsPerPeriod counts the firings of the reference actor (actor
-	// 0) within one period of PeriodCycles cycles; the exact rational
-	// throughput is FiringsPerPeriod/(q[0]·PeriodCycles) iterations per
-	// cycle, q being the repetition vector.
-	FiringsPerPeriod int64
-	PeriodCycles     int64
+	// Throughput is the exact throughput: the firings of the reference
+	// actor (actor 0) within one period, its repetition-vector entry and
+	// the period in cycles. Zero if deadlocked.
+	Throughput sdf.Rate
 	// TransientCycles is the time before the periodic phase is entered.
 	TransientCycles int64
 	// Deadlocked is true if execution stops with no actor able to fire.
@@ -323,14 +319,12 @@ func Analyze(g *sdf.Graph, opt Options) (Result, error) {
 			period := e.now - v.time
 			firings := e.refCompletions - v.completions
 			res := Result{
-				FiringsPerPeriod: firings,
-				PeriodCycles:     period,
-				TransientCycles:  v.time,
-				StatesExplored:   e.table.size(),
-				MaxTokens:        e.maxTokens,
+				TransientCycles: v.time,
+				StatesExplored:  e.table.size(),
+				MaxTokens:       e.maxTokens,
 			}
 			if period > 0 && firings > 0 {
-				res.Throughput = float64(firings) / float64(q[refActor]) / float64(period)
+				res.Throughput = sdf.Rate{Firings: firings, Q: q[refActor], Period: period}
 			}
 			if firings == 0 {
 				// Recurrent state with no progress: deadlock (all
@@ -816,5 +810,5 @@ func Throughput(g *sdf.Graph) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.Throughput, nil
+	return r.Throughput.Float(), nil
 }

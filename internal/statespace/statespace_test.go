@@ -69,7 +69,7 @@ func TestDeadlockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Deadlocked || r.Throughput != 0 {
+	if !r.Deadlocked || !r.Throughput.IsZero() {
 		t.Fatalf("result = %+v, want deadlock", r)
 	}
 }
@@ -144,7 +144,7 @@ func TestScheduleSerializesTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(r.Throughput, 0.2) {
+	if !almostEqual(r.Throughput.Float(), 0.2) {
 		t.Fatalf("scheduled throughput = %v, want 0.2", r.Throughput)
 	}
 }
@@ -171,7 +171,7 @@ func TestScheduleOrderMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(r2.Throughput, 0.5) {
+	if !almostEqual(r2.Throughput.Float(), 0.5) {
 		t.Fatalf("throughput = %v, want 0.5", r2.Throughput)
 	}
 }
@@ -191,7 +191,7 @@ func TestScheduleTwoTilesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(r.Throughput, 1.0/3) {
+	if !almostEqual(r.Throughput.Float(), 1.0/3) {
 		t.Fatalf("throughput = %v, want 1/3", r.Throughput)
 	}
 }
@@ -224,11 +224,8 @@ func TestResultRationalConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PeriodCycles == 0 || r.FiringsPerPeriod == 0 {
-		t.Fatalf("result = %+v", r)
-	}
-	if !almostEqual(r.Throughput, float64(r.FiringsPerPeriod)/float64(r.PeriodCycles)) {
-		t.Fatalf("rational/float mismatch: %+v", r)
+	if r.Throughput != (sdf.Rate{Firings: 1, Q: 1, Period: 5}) || r.Throughput.Float() != 0.2 {
+		t.Fatalf("result = %+v, want 1 firing per 5 cycles", r)
 	}
 }
 

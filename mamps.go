@@ -125,7 +125,7 @@ func AnalyzeThroughput(g *Graph) (float64, error) { return statespace.Throughput
 // achieved throughput.
 func MinimizeBuffers(g *Graph, target float64) ([]int, float64, error) {
 	d, thr, err := buffer.Minimize(g, target, buffer.Options{})
-	return d, thr, err
+	return d, thr.Float(), err
 }
 
 // Map runs the SDF3 mapping step: binding, scheduling, buffer allocation,

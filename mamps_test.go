@@ -67,7 +67,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Throughput < m.Analysis.Throughput*(1-1e-9) {
+	if res.Throughput.Cmp(m.Analysis.Throughput) < 0 {
 		t.Fatalf("guarantee violated: %v < %v", res.Throughput, m.Analysis.Throughput)
 	}
 
